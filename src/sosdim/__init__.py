@@ -20,12 +20,11 @@ from .bss import (
 from .dimtest import (
     DimensionEstimate,
     TestResult,
+    all_q_tests,
     bootstrap_noise_test,
-    chisq_sf,
     dimension_report,
     estimate_dimension,
     estimate_dimension_from_fit,
-    noise_submatrices,
     noise_test,
     test_statistic,
 )
@@ -45,7 +44,6 @@ from .jointdiag import (
 from .series import (
     LagSet,
     MultiSeries,
-    SymmetricMatrixSet,
     center,
     load_csv,
     sample_autocov,

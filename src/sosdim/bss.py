@@ -17,23 +17,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidInputError, LagTooLargeError
+from .errors import InvalidInputError
 from .jointdiag import (
     DEFAULT_MAX_SWEEPS,
     DEFAULT_TOL,
-    _fix_column_signs,
+    _ordered_eigh,
     joint_diagonalize,
     order_by_pseudo_eigenvalues,
 )
-from .series import (
-    LagSet,
-    MultiSeries,
-    SymmetricMatrixSet,
-    sample_autocov,
-    sample_cov,
-    sym_inv_sqrt,
-    symmetrize,
-)
+from .series import LagSet, MultiSeries, standardized_autocovs
 
 #: Lag sets used throughout the experiments.
 LAG_PRESETS = {
@@ -47,7 +39,7 @@ LAG_PRESETS = {
 class UnmixingResult:
     gamma: np.ndarray  # p x p unmixing matrix U^T S0^{-1/2}
     U: np.ndarray  # orthogonal rotation, columns ordered signal-first
-    H: SymmetricMatrixSet  # whitened symmetrized autocovariances
+    H: np.ndarray  # k x p x p ndarray stack (k = |lags|) of whitened autocovariances
     lags: LagSet
     pseudo_sums: np.ndarray  # per-column order key, non-increasing, length p
     method: str  # "amuse" | "sobi"
@@ -60,24 +52,11 @@ class UnmixingResult:
         return self.gamma.shape[0]
 
 
-def _whitened_autocovs(x: MultiSeries, lags: LagSet):
-    if lags.max >= x.T:
-        raise LagTooLargeError(
-            f"max lag {lags.max} must be smaller than series length {x.T}"
-        )
-    m = sym_inv_sqrt(sample_cov(x))
-    mats = tuple(symmetrize(m @ symmetrize(sample_autocov(x, t)) @ m) for t in lags)
-    return m, SymmetricMatrixSet(mats, x.p)
-
-
 def amuse(x: MultiSeries, tau: int = 1) -> UnmixingResult:
     """Unmixing from the generalized eigendecomposition of (S0, R_tau)."""
     lags = LagSet((tau,))
-    m, h = _whitened_autocovs(x, lags)
-    w, v = np.linalg.eigh(h[0])
-    order = sorted(range(x.p), key=lambda i: (-w[i] ** 2, -w[i]))
-    u = _fix_column_signs(v[:, order])
-    d = w[order]
+    m, h = standardized_autocovs(x, lags)
+    d, u = _ordered_eigh(h[0])
     return UnmixingResult(
         gamma=u.T @ m,
         U=u,
@@ -105,7 +84,7 @@ def sobi(
     """
     if not isinstance(lags, LagSet):
         lags = LagSet(tuple(lags))
-    m, h = _whitened_autocovs(x, lags)
+    m, h = standardized_autocovs(x, lags)
     jd = order_by_pseudo_eigenvalues(joint_diagonalize(h, tol, max_sweeps), lags)
     return UnmixingResult(
         gamma=jd.U.T @ m,
@@ -120,18 +99,15 @@ def sobi(
     )
 
 
-def _energy_fit(m, h: SymmetricMatrixSet, lags: LagSet, n_obs: int,
+def _energy_fit(m, h: np.ndarray, lags: LagSet, n_obs: int,
                 mean) -> UnmixingResult:
-    mats = np.array(h.matrices)
-    energy, v = np.linalg.eigh((mats @ mats).sum(axis=0))
-    order = np.argsort(-energy, kind="stable")
-    u = _fix_column_signs(v[:, order])
+    energy, u = _ordered_eigh((h @ h).sum(axis=0))
     return UnmixingResult(
         gamma=u.T @ m,
         U=u,
         H=h,
         lags=lags,
-        pseudo_sums=energy[order],
+        pseudo_sums=energy,
         method="sobi",
         converged=True,
         n_obs=n_obs,
@@ -166,11 +142,10 @@ def to_energy_basis(fit: UnmixingResult) -> UnmixingResult:
 def energy_unmix(x: MultiSeries, lags, method: str) -> UnmixingResult:
     """to_energy_basis(unmix(x, lags, method)), without SOBI's joint
     diagonalization, whose rotation to_energy_basis would discard."""
-    if not isinstance(lags, LagSet):
-        lags = LagSet(tuple(lags))
     if method != "sobi":
         return unmix(x, lags, method)
-    m, h = _whitened_autocovs(x, lags)
+    lags = LagSet(tuple(lags))
+    m, h = standardized_autocovs(x, lags)
     return _energy_fit(m, h, lags, x.T, x.values.mean(axis=0))
 
 

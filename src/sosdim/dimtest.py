@@ -11,14 +11,20 @@ autocorrelation energy. For AMUSE that is AMUSE's own rotation. For SOBI
 it is not the joint diagonalizer's rotation, which adapts to a block of
 white noise and would make every q above the true signal count reject too
 often; the tests therefore never run the diagonalizer.
+
+All q come from one rotated stack G_tau = W^T H_tau W of the full energy
+basis W: the noise block of q is the trailing (p - q) x (p - q) block of
+every G_tau, so suffix sums of sum_tau G_tau^2 give every statistic in one
+pass (all_q_tests). The p-values are scipy's chi-square tail
+(scipy.special.chdtrc).
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 
 import numpy as np
+from scipy.special import chdtrc
 
 from .bss import (
     UnmixingResult,
@@ -27,7 +33,7 @@ from .bss import (
     to_energy_basis,
 )
 from .errors import InvalidInputError
-from .series import LagSet, MultiSeries, symmetrize
+from .series import LagSet, MultiSeries
 
 
 @dataclass(frozen=True)
@@ -37,7 +43,7 @@ class TestResult:
     m_hat: float
     scaled_stat: float
     df: int
-    p_value: float | None
+    p_value: float
     lags: LagSet
     method: str
     converged: bool
@@ -58,116 +64,68 @@ class DimensionEstimate:
 STRATEGIES = ("forward", "backward", "divide_and_conquer")
 
 
-def chisq_sf(x: float, df) -> float:
-    """Survival function P(chi2_df > x) via the regularized upper
-    incomplete gamma function Q(df/2, x/2).
+def _m_hat(fit: UnmixingResult) -> np.ndarray:
+    """m_hat for every q, from the stack G_tau = U^T H_tau U of a fit that
+    is already on its energy basis."""
+    g = fit.U.T @ fit.H @ fit.U
+    sq = (((g + g.transpose(0, 2, 1)) / 2.0) ** 2).sum(axis=0)
+    # tail[q] sums sq over the trailing block [q:, q:].
+    tail = sq[::-1, ::-1].cumsum(axis=0).cumsum(axis=1)[::-1, ::-1].diagonal()
+    r = fit.p - np.arange(fit.p)
+    return tail / (len(fit.lags) * r * r)
 
-    Series expansion for x < df + 1, Lentz continued fraction otherwise;
-    self-contained so the test path has no statistical-library dependency.
+
+def all_q_tests(fit: UnmixingResult, T: int) -> tuple:
+    """Asymptotic tests of every q = 0, ..., p - 1, indexed by q.
+
+    The fit is rotated onto its energy basis once, and every statistic is
+    a trailing block of the one rotated stack.
     """
-    if df <= 0:
-        raise InvalidInputError("degrees of freedom must be positive")
-    if not np.isfinite(x) or x < 0:
-        raise InvalidInputError(f"statistic must be finite and nonnegative, got {x}")
-    if x == 0.0:
-        return 1.0
-    a = 0.5 * float(df)
-    z = 0.5 * float(x)
-    log_front = -z + a * math.log(z) - math.lgamma(a)
-    if z < a + 1.0:
-        # Lower series: P(a, z), then Q = 1 - P.
-        ap = a
-        total = 1.0 / a
-        term = total
-        for _ in range(10000):
-            ap += 1.0
-            term *= z / ap
-            total += term
-            if abs(term) < abs(total) * 1e-16:
-                break
-        p = total * math.exp(log_front)
-        return min(max(1.0 - p, 0.0), 1.0)
-    # Upper continued fraction (modified Lentz).
-    fpmin = 1e-300
-    b = z + 1.0 - a
-    c = 1.0 / fpmin
-    d = 1.0 / b
-    h = d
-    for i in range(1, 10000):
-        an = -i * (i - a)
-        b += 2.0
-        d = an * d + b
-        if abs(d) < fpmin:
-            d = fpmin
-        c = b + an / c
-        if abs(c) < fpmin:
-            c = fpmin
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
-        if abs(delta - 1.0) < 1e-16:
-            break
-    if log_front < -700.0:
-        return 0.0
-    return min(max(math.exp(log_front) * h, 0.0), 1.0)
-
-
-def _check_q(q: int, p: int) -> int:
-    q = int(q)
-    if not 0 <= q <= p - 1:
-        raise InvalidInputError(f"q must be in [0, {p - 1}], got {q}")
-    return q
-
-
-def noise_submatrices(r: UnmixingResult, q: int):
-    """Conjugations of each H_tau by the trailing p - q columns of U.
-
-    The tests pass fits on the energy basis (bss.to_energy_basis).
-    """
-    q = _check_q(q, r.p)
-    w = r.U[:, q:]
-    return [symmetrize(w.T @ h @ w) for h in r.H]
-
-
-def test_statistic(fit: UnmixingResult, q: int, T: int) -> TestResult:
-    """Statistic, scaling and degrees of freedom; p-value left unset."""
-    q = _check_q(q, fit.p)
-    rr = fit.p - q
+    fit = to_energy_basis(fit)
     k = len(fit.lags)
-    blocks = noise_submatrices(fit, q)
-    m_hat = float(sum(np.sum(b**2) for b in blocks)) / (k * rr * rr)
-    return TestResult(
-        q=q,
-        r=rr,
-        m_hat=m_hat,
-        scaled_stat=T * k * rr * rr * m_hat,
-        df=k * rr * (rr + 1) // 2,
-        p_value=None,
-        lags=fit.lags,
-        method=fit.method,
-        converged=fit.converged,
+    m_hat = _m_hat(fit)
+    r = fit.p - np.arange(fit.p)
+    stat = T * k * r * r * m_hat
+    df = k * r * (r + 1) // 2
+    p_value = chdtrc(df, stat)
+    return tuple(
+        TestResult(
+            q=q,
+            r=int(r[q]),
+            m_hat=float(m_hat[q]),
+            scaled_stat=float(stat[q]),
+            df=int(df[q]),
+            p_value=float(p_value[q]),
+            lags=fit.lags,
+            method=fit.method,
+            converged=fit.converged,
+        )
+        for q in range(fit.p)
     )
 
 
-def _asymptotic_from_fit(fit: UnmixingResult, q: int, T: int) -> TestResult:
-    ts = test_statistic(fit, q, T)
-    return replace(ts, p_value=chisq_sf(ts.scaled_stat, ts.df))
+def test_statistic(fit: UnmixingResult, q: int, T: int) -> TestResult:
+    """The asymptotic test of q on the fit's energy basis: all_q_tests(fit, T)[q]."""
+    q = int(q)
+    if not 0 <= q <= fit.p - 1:
+        raise InvalidInputError(f"q must be in [0, {fit.p - 1}], got {q}")
+    return all_q_tests(fit, T)[q]
 
 
 def noise_test(x: MultiSeries, lags, q: int, method: str = "sobi") -> TestResult:
     """Asymptotic chi-square test of the null "p - q trailing sources are noise"."""
-    fit = energy_unmix(x, lags, method)
-    return _asymptotic_from_fit(fit, q, x.T)
+    return test_statistic(energy_unmix(x, lags, method), q, x.T)
 
 
-def _bootstrap_from_fit(
+def _bootstrap_p(
     x: MultiSeries,
     fit: UnmixingResult,
     q: int,
     b_reps: int,
     seed,
-) -> TestResult:
-    base = test_statistic(fit, q, x.T)
+) -> float:
+    """Bootstrap p-value of q for a fit on its energy basis."""
+    base = _m_hat(fit)[q]
     z = estimated_sources(x, fit).values
     ginv = np.linalg.inv(fit.gamma)
     children = np.random.SeedSequence(seed).spawn(b_reps)
@@ -180,9 +138,9 @@ def _bootstrap_from_fit(
         z_star[:, q:] = z[idx, q:]
         x_star = MultiSeries(z_star @ ginv.T)
         fit_star = energy_unmix(x_star, fit.lags, fit.method)
-        if test_statistic(fit_star, q, n).m_hat >= base.m_hat:
+        if _m_hat(fit_star)[q] >= base:
             count += 1
-    return replace(base, p_value=(1 + count) / (b_reps + 1))
+    return (1 + count) / (b_reps + 1)
 
 
 def bootstrap_noise_test(
@@ -202,15 +160,15 @@ def bootstrap_noise_test(
     if b_reps < 1:
         raise InvalidInputError("bootstrap replicate count must be >= 1")
     fit = energy_unmix(x, lags, method)
-    _check_q(q, fit.p)
-    return _bootstrap_from_fit(x, fit, q, b_reps, seed)
+    ts = test_statistic(fit, q, x.T)
+    return replace(ts, p_value=_bootstrap_p(x, fit, q, b_reps, seed))
 
 
-def _is_monotone(trace, alpha: float) -> bool:
+def _is_monotone(p_values: dict, alpha: float) -> bool:
     """True if, sorted by q, rejections form a prefix and acceptances a suffix."""
     seen_accept = False
-    for t in sorted(trace, key=lambda t: t.q):
-        if t.p_value >= alpha:
+    for q in sorted(p_values):
+        if p_values[q] >= alpha:
             seen_accept = True
         elif seen_accept:
             return False
@@ -266,57 +224,68 @@ def estimate_dimension_from_fit(
         raise InvalidInputError(f"unknown test kind: {test_kind!r}")
     if fit.p != x.p:
         raise InvalidInputError("fit and series dimensions disagree")
-    fit = to_energy_basis(fit)
-    p = fit.p
-    trace = []
-    cache = {}
+    tests = list(all_q_tests(fit, x.T))
+    efit = to_energy_basis(fit) if test_kind == "bootstrap" else None
 
-    def eval_q(q: int) -> TestResult:
-        if q not in cache:
-            if test_kind == "asymptotic":
-                ts = _asymptotic_from_fit(fit, q, x.T)
-            else:
-                ts = _bootstrap_from_fit(x, fit, q, b_reps, [_seed_int(seed), q])
-            cache[q] = ts
-            trace.append(ts)
-        return cache[q]
+    def p_value(q: int) -> float:
+        if efit is not None:
+            tests[q] = replace(tests[q], p_value=_bootstrap_p(
+                x, efit, q, b_reps, [_seed_int(seed), q]))
+        return tests[q].p_value
+
+    d_hat, order, monotone = _select_dimension(p_value, fit.p, alpha, strategy)
+    trace = tuple(tests[q] for q in order)
+    return DimensionEstimate(
+        d_hat=d_hat,
+        strategy=strategy,
+        alpha=alpha,
+        trace=trace,
+        method=fit.method,
+        lags=fit.lags,
+        converged=all(t.converged for t in trace),
+        monotone=monotone,
+    )
+
+
+def _select_dimension(p_value, p: int, alpha: float, strategy: str):
+    """Apply a strategy to the p-values p_value(q) of q = 0, ..., p - 1.
+
+    p_value is called at most once per q, only for the q the strategy
+    evaluates. Returns (d_hat, the evaluated q in order, monotone).
+    """
+    seen = {}
+
+    def accepted(q: int) -> bool:
+        if q not in seen:
+            seen[q] = p_value(q)
+        return seen[q] >= alpha
 
     monotone = True
     if strategy == "forward":
         d_hat = p
         for q in range(p):
-            if eval_q(q).p_value >= alpha:
+            if accepted(q):
                 d_hat = q
                 break
     elif strategy == "backward":
         d_hat = 0
         for q in range(p - 1, -1, -1):
-            if eval_q(q).p_value < alpha:
+            if not accepted(q):
                 d_hat = q + 1
                 break
     else:
         lo, hi = 0, p
         while lo < hi:
             mid = (lo + hi) // 2
-            if eval_q(mid).p_value >= alpha:
+            if accepted(mid):
                 hi = mid
             else:
                 lo = mid + 1
         d_hat = lo
-        if not _is_monotone(trace, alpha):
+        if not _is_monotone(seen, alpha):
             monotone = False
-            accepted = sorted(t.q for t in trace if t.p_value >= alpha)
-            d_hat = accepted[0] if accepted else p
-    return DimensionEstimate(
-        d_hat=d_hat,
-        strategy=strategy,
-        alpha=alpha,
-        trace=tuple(trace),
-        method=fit.method,
-        lags=fit.lags,
-        converged=all(t.converged for t in trace),
-        monotone=monotone,
-    )
+            d_hat = min((q for q, pv in seen.items() if pv >= alpha), default=p)
+    return d_hat, tuple(seen), monotone
 
 
 def _seed_int(seed) -> int:
@@ -371,16 +340,18 @@ TEST_SCHEMA = {
 }
 
 
-def test_report(ts: TestResult) -> dict:
+def _test_entry(ts: TestResult) -> dict:
     return {
-        "method": ts.method,
-        "lags": list(ts.lags),
         "q": ts.q,
         "stat": ts.scaled_stat,
         "df": ts.df,
         "p_value": ts.p_value,
         "converged": ts.converged,
     }
+
+
+def test_report(ts: TestResult) -> dict:
+    return {"method": ts.method, "lags": list(ts.lags), **_test_entry(ts)}
 
 
 def dimension_report(est: DimensionEstimate) -> dict:
@@ -390,14 +361,5 @@ def dimension_report(est: DimensionEstimate) -> dict:
         "alpha": est.alpha,
         "strategy": est.strategy,
         "d_hat": est.d_hat,
-        "trace": [
-            {
-                "q": t.q,
-                "stat": t.scaled_stat,
-                "df": t.df,
-                "p_value": t.p_value,
-                "converged": t.converged,
-            }
-            for t in est.trace
-        ],
+        "trace": [_test_entry(t) for t in est.trace],
     }

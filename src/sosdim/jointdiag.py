@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInputError
-from .series import SymmetricMatrixSet, sym_inv_sqrt, symmetrize
+from .series import sym_inv_sqrt, symmetrize
 
 DEFAULT_TOL = 1e-10
 DEFAULT_MAX_SWEEPS = 100
@@ -41,21 +41,34 @@ def _fix_column_signs(u: np.ndarray) -> np.ndarray:
     return u
 
 
+def _ordered_eigh(h: np.ndarray):
+    """Eigenvalues and sign-fixed eigenvectors of a symmetric matrix,
+    ordered by decreasing squared eigenvalue (ties: larger eigenvalue first)."""
+    w, v = np.linalg.eigh(h)
+    order = sorted(range(len(w)), key=lambda i: (-w[i] ** 2, -w[i]))
+    return w[order], _fix_column_signs(v[:, order])
+
+
 def _as_stack(h) -> np.ndarray:
-    if isinstance(h, SymmetricMatrixSet):
-        return np.array(list(h))
-    mats = [np.asarray(m, dtype=float) for m in h]
-    if not mats:
-        raise InvalidInputError("matrix set must be nonempty")
-    shape = mats[0].shape
-    if len(shape) != 2 or shape[0] != shape[1] or any(m.shape != shape for m in mats):
-        raise InvalidInputError("expected a list of square matrices of equal size")
-    return np.array(mats)
+    try:
+        a = np.array(h, dtype=float)
+    except ValueError:
+        a = None
+    if a is None or a.ndim != 3 or a.shape[0] == 0 or a.shape[1] != a.shape[2]:
+        raise InvalidInputError("expected a nonempty set of same-size square matrices")
+    scale = np.maximum(np.abs(a).max(axis=(1, 2)), 1.0)
+    asym = np.abs(a - a.transpose(0, 2, 1)).max(axis=(1, 2)) > 1e-12 * scale
+    if asym.any():
+        raise InvalidInputError(f"matrix {int(np.argmax(asym))} is not symmetric")
+    return a
 
 
 def joint_diagonalize(h, tol: float = DEFAULT_TOL,
                       max_sweeps: int = DEFAULT_MAX_SWEEPS) -> JointDiagResult:
     """Jointly diagonalize a set of symmetric matrices by an orthogonal U.
+
+    h is a k x p x p stack or a list of p x p matrices, each symmetric to
+    1e-12 of its largest entry; other input raises InvalidInputError.
 
     Maximizes the summed squared diagonals of U^T H_tau U over orthogonal
     U. Non-convergence within max_sweeps is reported through the
@@ -121,10 +134,7 @@ def generalized_eig(s0: np.ndarray, r: np.ndarray):
     larger D first).
     """
     m = sym_inv_sqrt(s0)
-    w, v = np.linalg.eigh(symmetrize(m @ symmetrize(np.asarray(r, float)) @ m))
-    order = sorted(range(len(w)), key=lambda i: (-w[i] ** 2, -w[i]))
-    v = _fix_column_signs(v[:, order])
-    d = w[order]
+    d, v = _ordered_eigh(symmetrize(m @ symmetrize(np.asarray(r, float)) @ m))
     return v.T @ m, d
 
 

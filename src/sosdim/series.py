@@ -79,37 +79,6 @@ class LagSet:
         return self.lags[-1]
 
 
-@dataclass(frozen=True)
-class SymmetricMatrixSet:
-    """A list of p x p symmetric matrices, one per lag."""
-
-    matrices: tuple
-    p: int
-
-    def __post_init__(self):
-        mats = []
-        for i, m in enumerate(self.matrices):
-            m = np.asarray(m, dtype=float)
-            if m.shape != (self.p, self.p):
-                raise InvalidInputError(
-                    f"matrix {i} has shape {m.shape}, expected ({self.p}, {self.p})"
-                )
-            scale = max(np.abs(m).max(), 1.0)
-            if np.abs(m - m.T).max() > 1e-12 * scale:
-                raise InvalidInputError(f"matrix {i} is not symmetric")
-            mats.append(m)
-        object.__setattr__(self, "matrices", tuple(mats))
-
-    def __len__(self):
-        return len(self.matrices)
-
-    def __iter__(self):
-        return iter(self.matrices)
-
-    def __getitem__(self, i):
-        return self.matrices[i]
-
-
 def center(x: MultiSeries) -> MultiSeries:
     """Remove the column means from the series."""
     return MultiSeries(x.values - x.values.mean(axis=0))
@@ -163,15 +132,16 @@ def sym_inv_sqrt(s: np.ndarray) -> np.ndarray:
     return (m + m.T) / 2.0
 
 
-def standardized_autocovs(x: MultiSeries, lags: LagSet) -> SymmetricMatrixSet:
-    """Whitened symmetrized autocovariances S0^{-1/2} R_tau S0^{-1/2}."""
+def standardized_autocovs(x: MultiSeries, lags: LagSet):
+    """The whitener S0^{-1/2} and the |lags| x p x p stack of whitened
+    symmetrized autocovariances S0^{-1/2} R_tau S0^{-1/2}."""
     if lags.max >= x.T:
         raise LagTooLargeError(
             f"max lag {lags.max} must be smaller than series length {x.T}"
         )
     m = sym_inv_sqrt(sample_cov(x))
-    mats = tuple(symmetrize(m @ symmetrize(sample_autocov(x, t)) @ m) for t in lags)
-    return SymmetricMatrixSet(mats, x.p)
+    h = np.array([symmetrize(m @ symmetrize(sample_autocov(x, t)) @ m) for t in lags])
+    return m, h
 
 
 def load_csv(path, header: bool = False) -> MultiSeries:

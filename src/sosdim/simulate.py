@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import time
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
+from functools import partial
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -328,17 +330,32 @@ def _dimension_rep(args):
     return est.d_hat
 
 
-def _run_reps(fn, tasks, n_jobs):
-    if n_jobs and n_jobs > 1:
-        with ProcessPoolExecutor(max_workers=n_jobs) as pool:
-            chunk = max(1, len(tasks) // (4 * n_jobs))
-            return list(pool.map(fn, tasks, chunksize=chunk))
-    return [fn(t) for t in tasks]
+def _cells(rep_fn, setting, n_list, methods, reps, seed, extra, n_jobs):
+    """rep_fn over every replicate of every (n, method) cell.
 
-
-def _check_reps(reps):
+    Returns n_list and methods as tuples, a len(n_list) x len(methods) x
+    reps array of rep_fn's results and the wall-clock seconds per method.
+    One process pool serves the whole table; replicate (n, rep) draws from
+    entropy [seed, n, rep] whichever worker runs it.
+    """
     if reps < 1:
         raise InvalidInputError("reps must be >= 1")
+    n_list = tuple(int(n) for n in n_list)
+    methods = tuple(methods)
+    out = np.zeros((len(n_list), len(methods), reps))
+    timings = {}
+    parallel = bool(n_jobs and n_jobs > 1)
+    with ProcessPoolExecutor(n_jobs) if parallel else nullcontext() as pool:
+        chunk = max(1, reps // (4 * n_jobs)) if parallel else 1
+        run = partial(pool.map, chunksize=chunk) if parallel else map
+        for j, method in enumerate(methods):
+            start = time.perf_counter()
+            for i, n in enumerate(n_list):
+                tasks = [(setting, n, rep, seed, method, *extra)
+                         for rep in range(reps)]
+                out[i, j] = list(run(rep_fn, tasks))
+            timings[method] = time.perf_counter() - start
+    return n_list, methods, out, timings
 
 
 def rejection_table(
@@ -354,21 +371,10 @@ def rejection_table(
     n_jobs: int = 1,
 ) -> FrequencyTable:
     """Fraction of replicates rejecting H_{0q} per (n, method) cell."""
-    _check_reps(reps)
-    n_list = tuple(int(n) for n in n_list)
-    methods = tuple(methods)
-    values = np.zeros((len(n_list), len(methods)))
-    timings = {}
-    for j, method in enumerate(methods):
-        start = time.perf_counter()
-        for i, n in enumerate(n_list):
-            tasks = [
-                (setting, n, rep, seed, method, q, alpha, test_kind, b_reps)
-                for rep in range(reps)
-            ]
-            values[i, j] = np.mean(_run_reps(_rejection_rep, tasks, n_jobs))
-        timings[method] = time.perf_counter() - start
-    return FrequencyTable(n_list, methods, values, timings)
+    n_list, methods, out, timings = _cells(
+        _rejection_rep, setting, n_list, methods, reps, seed,
+        (q, alpha, test_kind, b_reps), n_jobs)
+    return FrequencyTable(n_list, methods, out.mean(axis=2), timings)
 
 
 def dimension_table(
@@ -384,22 +390,10 @@ def dimension_table(
     n_jobs: int = 1,
 ) -> DimensionTable:
     """Empirical distribution of the estimated dimension per (n, method)."""
-    _check_reps(reps)
-    n_list = tuple(int(n) for n in n_list)
-    methods = tuple(methods)
+    n_list, methods, out, timings = _cells(
+        _dimension_rep, setting, n_list, methods, reps, seed,
+        (alpha, strategy, estimator_kind, b_reps), n_jobs)
     p = setting.p
-    freq = np.zeros((len(n_list), len(methods), p + 1))
-    timings = {}
-    for j, method in enumerate(methods):
-        start = time.perf_counter()
-        for i, n in enumerate(n_list):
-            tasks = [
-                (setting, n, rep, seed, method, alpha, strategy,
-                 estimator_kind, b_reps)
-                for rep in range(reps)
-            ]
-            for d_hat in _run_reps(_dimension_rep, tasks, n_jobs):
-                freq[i, j, min(d_hat, p)] += 1
-            freq[i, j] /= reps
-        timings[method] = time.perf_counter() - start
+    hits = np.minimum(out, p)[..., None] == np.arange(p + 1)
+    freq = hits.sum(axis=2) / reps
     return DimensionTable(n_list, methods, p, freq, timings)

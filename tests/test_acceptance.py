@@ -14,6 +14,7 @@ import pytest
 from sosdim import (
     LagSet,
     MultiSeries,
+    energy_unmix,
     estimate_dimension,
     estimate_dimension_from_fit,
     estimated_sources,
@@ -196,7 +197,7 @@ class TestAcceptance:
             x, _, _ = simulate_setting(setting, 10000, [MASTER, 10, sd])
             for method in ("amuse", "sobi6", "sobi12"):
                 kind = "amuse" if method == "amuse" else "sobi"
-                fit = unmix(x, LagSet(LAG_PRESETS[method]), kind)
+                fit = energy_unmix(x, LagSet(LAG_PRESETS[method]), kind)
                 for strategy in ("forward", "backward", "divide_and_conquer"):
                     est = estimate_dimension_from_fit(x, fit,
                                                       strategy=strategy)

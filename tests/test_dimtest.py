@@ -1,5 +1,3 @@
-import math
-
 import numpy as np
 import pytest
 import scipy.stats
@@ -8,11 +6,10 @@ from sosdim import (
     InvalidInputError,
     LagSet,
     MultiSeries,
+    all_q_tests,
     bootstrap_noise_test,
-    chisq_sf,
     estimate_dimension,
     estimate_dimension_from_fit,
-    noise_submatrices,
     noise_test,
     to_energy_basis,
     unmix,
@@ -28,34 +25,6 @@ def white_series(n, p, seed):
     return MultiSeries(rng.standard_normal((n, p)))
 
 
-class TestChisqSf:
-    def test_boundary_zero(self):
-        assert chisq_sf(0.0, 5) == 1.0
-
-    def test_df2_closed_form(self):
-        # For df = 2 the survival function is exp(-x / 2).
-        x = 2.0 * math.log(2.0)
-        assert chisq_sf(x, 2) == pytest.approx(0.5, abs=1e-12)
-
-    def test_df1_five_percent_point(self):
-        assert chisq_sf(3.841458820694124, 1) == pytest.approx(0.05, abs=1e-8)
-
-    def test_matches_scipy_over_grid(self):
-        rng = np.random.default_rng(0)
-        for _ in range(500):
-            df = int(rng.integers(1, 200))
-            x = float(rng.uniform(0.0, 3.0 * df))
-            assert chisq_sf(x, df) == pytest.approx(
-                scipy.stats.chi2.sf(x, df), abs=1e-10
-            )
-
-    def test_rejects_negative(self):
-        with pytest.raises(InvalidInputError):
-            chisq_sf(-1.0, 3)
-        with pytest.raises(InvalidInputError):
-            chisq_sf(1.0, 0)
-
-
 class TestStatistic:
     def test_df_formula_exhaustive(self):
         for p in range(1, 13):
@@ -65,15 +34,16 @@ class TestStatistic:
                     free = k * sum(range(1, r + 1))
                     assert k * r * (r + 1) // 2 == free
 
-    def test_noise_submatrix_shapes(self):
+    def test_statistic_block_sizes_and_q_range(self):
         x = white_series(500, 4, 1)
         fit = unmix(x, (1, 2, 3), "sobi")
-        full = noise_submatrices(fit, 0)
-        assert all(b.shape == (4, 4) for b in full)
-        last = noise_submatrices(fit, 3)
-        assert all(b.shape == (1, 1) for b in last)
+        full = statistic_of(fit, 0, 500)
+        assert (full.r, full.df) == (4, 3 * 4 * 5 // 2)
+        last = statistic_of(fit, 3, 500)
+        assert (last.r, last.df) == (1, 3)
+        assert [t.q for t in all_q_tests(fit, 500)] == [0, 1, 2, 3]
         with pytest.raises(InvalidInputError):
-            noise_submatrices(fit, 4)
+            statistic_of(fit, 4, 500)
 
     def test_df_example(self):
         x = white_series(400, 10, 2)
@@ -88,7 +58,7 @@ class TestStatistic:
         fit = unmix(x, (1,), "sobi")
         a = 0.3
         block = np.array([[0.0, a], [a, 0.0]])
-        fake = replace(fit, U=np.eye(2), H=[block])
+        fake = replace(fit, U=np.eye(2), H=np.array([block]))
         ts = statistic_of(fake, 0, 300)
         assert ts.m_hat == pytest.approx(a * a / 2.0, abs=1e-15)
         assert ts.scaled_stat == pytest.approx(300 * 1 * 4 * a * a / 2, abs=1e-9)
@@ -117,8 +87,20 @@ class TestStatistic:
             expected = 1000 * total
             assert ts.scaled_stat == pytest.approx(expected, abs=1e-10)
             assert ts.p_value == pytest.approx(
-                chisq_sf(expected, ts.df), abs=1e-12
+                scipy.stats.chi2.sf(expected, ts.df), abs=1e-12
             )
+
+    def test_statistic_of_a_sobi_fit_is_the_noise_test(self):
+        # test_statistic reads the energy basis of the fit it is given, not
+        # the trailing columns of SOBI's own rotation.
+        x, _, _ = simulate_setting(make_setting("H1"), 2000, 26)
+        fit = unmix(x, range(1, 7), "sobi")
+        for q in range(x.p):
+            got = statistic_of(fit, q, x.T)
+            want = noise_test(x, range(1, 7), q, "sobi")
+            assert got.df == want.df
+            assert got.scaled_stat == pytest.approx(want.scaled_stat, rel=1e-10)
+            assert got.p_value == pytest.approx(want.p_value, abs=1e-12)
 
     def test_invariance_under_orthogonal_premixing(self):
         x = white_series(2000, 4, 6)
@@ -198,65 +180,45 @@ class TestBootstrap:
 
 
 class TestStrategies:
-    def patched_estimate(self, monkeypatch, pvals, strategy):
-        import sosdim.dimtest as dimtest
-        from dataclasses import replace
+    @staticmethod
+    def select(pvals, strategy):
+        from sosdim.dimtest import _select_dimension
 
-        real = dimtest.test_statistic
-
-        def fake(fit, q, T):
-            return replace(real(fit, q, T), p_value=pvals[q])
-
-        monkeypatch.setattr(dimtest, "_asymptotic_from_fit", fake)
-        x = white_series(300, len(pvals), 15)
-        return estimate_dimension(x, (1,), strategy=strategy, method="sobi")
+        return _select_dimension(lambda q: pvals[q], len(pvals), 0.05, strategy)
 
     @pytest.mark.parametrize("strategy",
                              ["forward", "backward", "divide_and_conquer"])
-    def test_rule_application_on_monotone_trace(self, monkeypatch, strategy):
-        est = self.patched_estimate(
-            monkeypatch, (0.001, 0.002, 0.300, 0.700), strategy
-        )
-        assert est.d_hat == 2
-        assert est.monotone
+    def test_rule_application_on_monotone_trace(self, strategy):
+        d_hat, _, monotone = self.select((0.001, 0.002, 0.300, 0.700), strategy)
+        assert d_hat == 2
+        assert monotone
 
-    def test_forward_stops_early(self, monkeypatch):
-        est = self.patched_estimate(
-            monkeypatch, (0.001, 0.300, 0.001, 0.700), "forward"
-        )
-        assert est.d_hat == 1
-        assert [t.q for t in est.trace] == [0, 1]
+    def test_forward_stops_early(self):
+        d_hat, order, _ = self.select((0.001, 0.300, 0.001, 0.700), "forward")
+        assert d_hat == 1
+        assert list(order) == [0, 1]
 
-    def test_backward_scans_from_top(self, monkeypatch):
-        est = self.patched_estimate(
-            monkeypatch, (0.001, 0.300, 0.001, 0.700), "backward"
-        )
-        assert est.d_hat == 3
-        assert [t.q for t in est.trace] == [3, 2]
+    def test_backward_scans_from_top(self):
+        d_hat, order, _ = self.select((0.001, 0.300, 0.001, 0.700), "backward")
+        assert d_hat == 3
+        assert list(order) == [3, 2]
 
-    def test_dnc_probe_pattern_self_consistent(self, monkeypatch):
+    def test_dnc_probe_pattern_self_consistent(self):
         # The binary search only probes points consistent with the
         # interval invariant, so its own trace is always monotone even
         # when the full p-value string is not.
-        est = self.patched_estimate(
-            monkeypatch, (0.300, 0.001, 0.300, 0.700), "divide_and_conquer"
+        d_hat, order, monotone = self.select(
+            (0.300, 0.001, 0.300, 0.700), "divide_and_conquer"
         )
-        assert est.monotone
-        assert est.d_hat == 2
-        assert sorted(t.q for t in est.trace) == [1, 2]
+        assert monotone
+        assert d_hat == 2
+        assert sorted(order) == [1, 2]
 
     def test_monotonicity_detector(self):
-        from dataclasses import replace
-
         from sosdim.dimtest import _is_monotone
 
-        x = white_series(300, 4, 22)
-        fit = unmix(x, (1,), "sobi")
-        def trace(pvals):
-            return [replace(statistic_of(fit, q, 300), p_value=pv)
-                    for q, pv in enumerate(pvals)]
-        assert _is_monotone(trace((0.001, 0.002, 0.300, 0.700)), 0.05)
-        assert not _is_monotone(trace((0.300, 0.001, 0.300, 0.700)), 0.05)
+        assert _is_monotone(dict(enumerate((0.001, 0.002, 0.300, 0.700))), 0.05)
+        assert not _is_monotone(dict(enumerate((0.300, 0.001, 0.300, 0.700))), 0.05)
 
     def test_pure_noise_all_strategies_zero(self):
         x = white_series(3000, 4, 16)

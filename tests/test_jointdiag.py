@@ -147,6 +147,10 @@ class TestJointDiagonalize:
         with pytest.raises(InvalidInputError):
             joint_diagonalize([np.eye(2), np.eye(3)])
 
+    def test_rejects_asymmetric_input(self):
+        with pytest.raises(InvalidInputError, match="not symmetric"):
+            joint_diagonalize([np.array([[0.0, 1.0], [0.0, 0.0]])])
+
 
 class TestOrdering:
     def make_result(self, profiles):

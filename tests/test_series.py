@@ -8,7 +8,6 @@ from sosdim import (
     LagTooLargeError,
     MultiSeries,
     NearSingularCovarianceError,
-    SymmetricMatrixSet,
     center,
     load_csv,
     sample_autocov,
@@ -42,10 +41,6 @@ class TestContainers:
             LagSet((2, 2))
         with pytest.raises(InvalidInputError):
             LagSet((3, 1))
-
-    def test_symmetric_set_rejects_asymmetric(self):
-        with pytest.raises(InvalidInputError):
-            SymmetricMatrixSet((np.array([[0.0, 1.0], [0.0, 0.0]]),), 2)
 
 
 class TestCenter:
@@ -184,7 +179,7 @@ class TestStandardizedAutocovs:
     def test_white_noise_small_norms(self):
         rng = np.random.default_rng(12)
         x = series(rng.standard_normal((10000, 3)))
-        h = standardized_autocovs(x, LagSet((1, 2, 3)))
+        _, h = standardized_autocovs(x, LagSet((1, 2, 3)))
         for mat in h:
             assert np.linalg.norm(mat) <= 5 * 3 / np.sqrt(10000)
 
@@ -194,8 +189,8 @@ class TestStandardizedAutocovs:
                    + rng.standard_normal((2000, 4)))
         a = rng.standard_normal((4, 4)) + 4.0 * np.eye(4)
         y = series(x.values @ a.T)
-        hx = standardized_autocovs(x, LagSet((1, 2)))
-        hy = standardized_autocovs(y, LagSet((1, 2)))
+        _, hx = standardized_autocovs(x, LagSet((1, 2)))
+        _, hy = standardized_autocovs(y, LagSet((1, 2)))
         for mx, my in zip(hx, hy):
             assert np.allclose(
                 np.linalg.eigvalsh(mx), np.linalg.eigvalsh(my), atol=1e-8
@@ -204,7 +199,9 @@ class TestStandardizedAutocovs:
     def test_singleton_lag_cardinality(self):
         rng = np.random.default_rng(14)
         x = series(rng.standard_normal((100, 2)))
-        assert len(standardized_autocovs(x, LagSet((1,)))) == 1
+        m, h = standardized_autocovs(x, LagSet((1,)))
+        assert h.shape == (1, 2, 2)
+        assert np.abs(m @ sample_cov(x) @ m - np.eye(2)).max() <= 1e-12
 
 
 class TestCsv:
