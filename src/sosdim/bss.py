@@ -4,27 +4,23 @@ Both produce an unmixing matrix Gamma = U^T S0^{-1/2} whose rows are
 ordered signal-first by the summed squared pseudo-eigenvalues, so the
 trailing components are the white-noise candidates.
 
-The white-noise subspace tests run on the energy basis instead: the
-eigenbasis of sum_tau H_tau^2, ordered by total lagged autocorrelation
-energy (to_energy_basis, energy_unmix). At a single lag that is AMUSE's
-own U. With several lags it differs from SOBI's U, which stays the
-estimator of the sources.
+The white-noise subspace tests read only a fit's stack H of whitened
+autocovariances and take it on its energy basis: the eigenbasis of
+sum_tau H_tau^2, ordered by total lagged autocorrelation energy. One
+function computes that basis (_energy_basis). At a single lag it is
+AMUSE's own U, and amuse is energy_unmix at one lag. With several lags
+it differs from SOBI's U, which stays the estimator of the sources;
+to_energy_basis and energy_unmix give the fit on the energy basis.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import InvalidInputError
-from .jointdiag import (
-    DEFAULT_MAX_SWEEPS,
-    DEFAULT_TOL,
-    _ordered_eigh,
-    joint_diagonalize,
-    order_by_pseudo_eigenvalues,
-)
+from .jointdiag import _ordered_eigh, joint_diagonalize, order_by_pseudo_eigenvalues
 from .series import LagSet, MultiSeries, standardized_autocovs
 
 #: Lag sets used throughout the experiments.
@@ -44,48 +40,41 @@ class UnmixingResult:
     pseudo_sums: np.ndarray  # per-column order key, non-increasing, length p
     method: str  # "amuse" | "sobi"
     converged: bool
-    n_obs: int
-    mean: np.ndarray  # column means used for centering
 
     @property
     def p(self) -> int:
         return self.gamma.shape[0]
 
 
+def _energy_basis(h: np.ndarray):
+    """(energy, U): the energy basis of a whitened autocovariance stack.
+
+    U holds the eigenvectors of sum_tau H_tau^2 in decreasing order of
+    their eigenvalues, the energies. At a single lag they are taken from
+    H_tau itself, ordered by squared eigenvalue, which is the same basis.
+    """
+    if len(h) == 1:
+        d, u = _ordered_eigh(h[0])
+        return d**2, u
+    return _ordered_eigh((h @ h).sum(axis=0))
+
+
 def amuse(x: MultiSeries, tau: int = 1) -> UnmixingResult:
     """Unmixing from the generalized eigendecomposition of (S0, R_tau)."""
-    lags = LagSet((tau,))
-    m, h = standardized_autocovs(x, lags)
-    d, u = _ordered_eigh(h[0])
-    return UnmixingResult(
-        gamma=u.T @ m,
-        U=u,
-        H=h,
-        lags=lags,
-        pseudo_sums=d**2,
-        method="amuse",
-        converged=True,
-        n_obs=x.T,
-        mean=x.values.mean(axis=0),
-    )
+    return energy_unmix(x, (tau,), "amuse")
 
 
-def sobi(
-    x: MultiSeries,
-    lags,
-    tol: float = DEFAULT_TOL,
-    max_sweeps: int = DEFAULT_MAX_SWEEPS,
-) -> UnmixingResult:
+def sobi(x: MultiSeries, lags) -> UnmixingResult:
     """Unmixing from orthogonal approximate joint diagonalization.
 
     Components are ordered by their summed squared pseudo-eigenvalues,
     which are the pseudo_sums. The white-noise tests do not use this
-    rotation; they run on to_energy_basis of the fit.
+    rotation; they run on the energy basis of the fit's H.
     """
     if not isinstance(lags, LagSet):
         lags = LagSet(tuple(lags))
     m, h = standardized_autocovs(x, lags)
-    jd = order_by_pseudo_eigenvalues(joint_diagonalize(h, tol, max_sweeps), lags)
+    jd = order_by_pseudo_eigenvalues(joint_diagonalize(h))
     return UnmixingResult(
         gamma=jd.U.T @ m,
         U=jd.U,
@@ -94,24 +83,6 @@ def sobi(
         pseudo_sums=(jd.diag_profiles**2).sum(axis=0),
         method="sobi",
         converged=jd.converged,
-        n_obs=x.T,
-        mean=x.values.mean(axis=0),
-    )
-
-
-def _energy_fit(m, h: np.ndarray, lags: LagSet, n_obs: int,
-                mean) -> UnmixingResult:
-    energy, u = _ordered_eigh((h @ h).sum(axis=0))
-    return UnmixingResult(
-        gamma=u.T @ m,
-        U=u,
-        H=h,
-        lags=lags,
-        pseudo_sums=energy,
-        method="sobi",
-        converged=True,
-        n_obs=n_obs,
-        mean=mean,
     )
 
 
@@ -136,30 +107,37 @@ def to_energy_basis(fit: UnmixingResult) -> UnmixingResult:
     """
     if fit.method == "amuse":
         return fit
-    return _energy_fit(fit.U @ fit.gamma, fit.H, fit.lags, fit.n_obs, fit.mean)
+    energy, u = _energy_basis(fit.H)
+    return replace(fit, gamma=u.T @ (fit.U @ fit.gamma), U=u,
+                   pseudo_sums=energy, converged=True)
 
 
 def energy_unmix(x: MultiSeries, lags, method: str) -> UnmixingResult:
     """to_energy_basis(unmix(x, lags, method)), without SOBI's joint
     diagonalization, whose rotation to_energy_basis would discard."""
-    if method != "sobi":
-        return unmix(x, lags, method)
     lags = LagSet(tuple(lags))
+    if method not in ("amuse", "sobi"):
+        raise InvalidInputError(f"unknown method: {method!r}")
+    if method == "amuse" and len(lags) != 1:
+        raise InvalidInputError("amuse requires exactly one lag")
     m, h = standardized_autocovs(x, lags)
-    return _energy_fit(m, h, lags, x.T, x.values.mean(axis=0))
+    energy, u = _energy_basis(h)
+    return UnmixingResult(
+        gamma=u.T @ m,
+        U=u,
+        H=h,
+        lags=lags,
+        pseudo_sums=energy,
+        method=method,
+        converged=True,
+    )
 
 
-def unmix(x: MultiSeries, lags, method: str, **kwargs) -> UnmixingResult:
+def unmix(x: MultiSeries, lags, method: str) -> UnmixingResult:
     """Dispatch to amuse (singleton lag set) or sobi."""
-    if not isinstance(lags, LagSet):
-        lags = LagSet(tuple(lags))
-    if method == "amuse":
-        if len(lags) != 1:
-            raise InvalidInputError("amuse requires exactly one lag")
-        return amuse(x, lags.lags[0])
     if method == "sobi":
-        return sobi(x, lags, **kwargs)
-    raise InvalidInputError(f"unknown method: {method!r}")
+        return sobi(x, lags)
+    return energy_unmix(x, lags, method)
 
 
 def estimated_sources(x: MultiSeries, r: UnmixingResult) -> MultiSeries:

@@ -5,17 +5,20 @@ is the mean squared element of the noise blocks W_q^T H_tau W_q over the
 lag set. Scaled by T * |lags| * (p - q)^2 it is asymptotically chi-square
 with |lags| * (p - q) * (p - q + 1) / 2 degrees of freedom.
 
-W_q holds the trailing p - q columns of the energy basis (see
-bss.to_energy_basis), which orders components by total lagged
-autocorrelation energy. For AMUSE that is AMUSE's own rotation. For SOBI
-it is not the joint diagonalizer's rotation, which adapts to a block of
-white noise and would make every q above the true signal count reject too
-often; the tests therefore never run the diagonalizer.
+W_q holds the trailing p - q columns of the energy basis of the whitened
+autocovariance stack H (see bss.to_energy_basis), which orders components
+by total lagged autocorrelation energy. For AMUSE that is AMUSE's own
+rotation. For SOBI it is not the joint diagonalizer's rotation, which
+adapts to a block of white noise and would make every q above the true
+signal count reject too often; the tests therefore never run the
+diagonalizer.
 
-All q come from one rotated stack G_tau = W^T H_tau W of the full energy
-basis W: the noise block of q is the trailing (p - q) x (p - q) block of
-every G_tau, so suffix sums of sum_tau G_tau^2 give every statistic in one
-pass (all_q_tests). The p-values are scipy's chi-square tail
+The tests read only a fit's H, so any fit of the same data and lags gives
+the same tests. All q come from the one stack G_tau = W^T H_tau W of the
+full energy basis W: the noise block of q is the trailing (p - q) x
+(p - q) block of every G_tau, so suffix sums of sum_tau G_tau^2 give
+every statistic in one pass (all_q_tests). A bootstrap replicate needs
+only its own stack, not a fit. The p-values are scipy's chi-square tail
 (scipy.special.chdtrc).
 """
 
@@ -28,12 +31,13 @@ from scipy.special import chdtrc
 
 from .bss import (
     UnmixingResult,
+    _energy_basis,
     energy_unmix,
     estimated_sources,
     to_energy_basis,
 )
 from .errors import InvalidInputError
-from .series import LagSet, MultiSeries
+from .series import LagSet, MultiSeries, standardized_autocovs
 
 
 @dataclass(frozen=True)
@@ -46,7 +50,6 @@ class TestResult:
     p_value: float
     lags: LagSet
     method: str
-    converged: bool
 
 
 @dataclass(frozen=True)
@@ -57,33 +60,33 @@ class DimensionEstimate:
     trace: tuple  # TestResult, in evaluation order
     method: str
     lags: LagSet
-    converged: bool
     monotone: bool  # False if divide-and-conquer hit a non-monotone trace
 
 
 STRATEGIES = ("forward", "backward", "divide_and_conquer")
 
 
-def _m_hat(fit: UnmixingResult) -> np.ndarray:
-    """m_hat for every q, from the stack G_tau = U^T H_tau U of a fit that
-    is already on its energy basis."""
-    g = fit.U.T @ fit.H @ fit.U
+def _m_hat(h: np.ndarray) -> np.ndarray:
+    """m_hat for every q, from the stack G_tau = U^T H_tau U of the whitened
+    autocovariance stack h on its energy basis U."""
+    _, u = _energy_basis(h)
+    g = u.T @ h @ u
     sq = (((g + g.transpose(0, 2, 1)) / 2.0) ** 2).sum(axis=0)
     # tail[q] sums sq over the trailing block [q:, q:].
     tail = sq[::-1, ::-1].cumsum(axis=0).cumsum(axis=1)[::-1, ::-1].diagonal()
-    r = fit.p - np.arange(fit.p)
-    return tail / (len(fit.lags) * r * r)
+    r = len(tail) - np.arange(len(tail))
+    return tail / (len(h) * r * r)
 
 
 def all_q_tests(fit: UnmixingResult, T: int) -> tuple:
     """Asymptotic tests of every q = 0, ..., p - 1, indexed by q.
 
-    The fit is rotated onto its energy basis once, and every statistic is
-    a trailing block of the one rotated stack.
+    Every statistic is a trailing block of the fit's stack H on its energy
+    basis, so the tests read H alone: a SOBI fit, its energy basis and
+    energy_unmix of the same data give the same tests.
     """
-    fit = to_energy_basis(fit)
     k = len(fit.lags)
-    m_hat = _m_hat(fit)
+    m_hat = _m_hat(fit.H)
     r = fit.p - np.arange(fit.p)
     stat = T * k * r * r * m_hat
     df = k * r * (r + 1) // 2
@@ -98,7 +101,6 @@ def all_q_tests(fit: UnmixingResult, T: int) -> tuple:
             p_value=float(p_value[q]),
             lags=fit.lags,
             method=fit.method,
-            converged=fit.converged,
         )
         for q in range(fit.p)
     )
@@ -120,12 +122,13 @@ def noise_test(x: MultiSeries, lags, q: int, method: str = "sobi") -> TestResult
 def _bootstrap_p(
     x: MultiSeries,
     fit: UnmixingResult,
-    q: int,
+    ts: TestResult,
     b_reps: int,
     seed,
 ) -> float:
-    """Bootstrap p-value of q for a fit on its energy basis."""
-    base = _m_hat(fit)[q]
+    """Bootstrap p-value of the asymptotic test ts, resampling the sources
+    of a fit on its energy basis."""
+    q = ts.q
     z = estimated_sources(x, fit).values
     ginv = np.linalg.inv(fit.gamma)
     children = np.random.SeedSequence(seed).spawn(b_reps)
@@ -137,8 +140,7 @@ def _bootstrap_p(
         z_star = z.copy()
         z_star[:, q:] = z[idx, q:]
         x_star = MultiSeries(z_star @ ginv.T)
-        fit_star = energy_unmix(x_star, fit.lags, fit.method)
-        if _m_hat(fit_star)[q] >= base:
+        if _m_hat(standardized_autocovs(x_star, fit.lags)[1])[q] >= ts.m_hat:
             count += 1
     return (1 + count) / (b_reps + 1)
 
@@ -161,7 +163,7 @@ def bootstrap_noise_test(
         raise InvalidInputError("bootstrap replicate count must be >= 1")
     fit = energy_unmix(x, lags, method)
     ts = test_statistic(fit, q, x.T)
-    return replace(ts, p_value=_bootstrap_p(x, fit, q, b_reps, seed))
+    return replace(ts, p_value=_bootstrap_p(x, fit, ts, b_reps, seed))
 
 
 def _is_monotone(p_values: dict, alpha: float) -> bool:
@@ -212,9 +214,10 @@ def estimate_dimension_from_fit(
     """estimate_dimension on a precomputed unmixing fit.
 
     Lets several strategies share one fit of the same data instead of
-    re-estimating the unmixing per call. The hypotheses are tested on
-    to_energy_basis(fit), so a SOBI fit gives the same estimate as
-    estimate_dimension.
+    re-estimating the unmixing per call. The tests read only the fit's H
+    (see all_q_tests), so a SOBI fit gives the same estimate as
+    estimate_dimension; the bootstrap resamples the sources of
+    to_energy_basis(fit).
     """
     if not 0.0 < alpha < 1.0:
         raise InvalidInputError(f"alpha must be in (0, 1), got {alpha}")
@@ -230,7 +233,7 @@ def estimate_dimension_from_fit(
     def p_value(q: int) -> float:
         if efit is not None:
             tests[q] = replace(tests[q], p_value=_bootstrap_p(
-                x, efit, q, b_reps, [_seed_int(seed), q]))
+                x, efit, tests[q], b_reps, [_seed_int(seed), q]))
         return tests[q].p_value
 
     d_hat, order, monotone = _select_dimension(p_value, fit.p, alpha, strategy)
@@ -242,7 +245,6 @@ def estimate_dimension_from_fit(
         trace=trace,
         method=fit.method,
         lags=fit.lags,
-        converged=all(t.converged for t in trace),
         monotone=monotone,
     )
 
@@ -346,7 +348,9 @@ def _test_entry(ts: TestResult) -> dict:
         "stat": ts.scaled_stat,
         "df": ts.df,
         "p_value": ts.p_value,
-        "converged": ts.converged,
+        # The schemas require the key. No iterative step decides the
+        # tested basis (see all_q_tests), so every test has converged.
+        "converged": True,
     }
 
 

@@ -138,7 +138,7 @@ def generalized_eig(s0: np.ndarray, r: np.ndarray):
     return v.T @ m, d
 
 
-def order_by_pseudo_eigenvalues(result: JointDiagResult, lags) -> JointDiagResult:
+def order_by_pseudo_eigenvalues(result: JointDiagResult) -> JointDiagResult:
     """Permute columns so the summed squared pseudo-eigenvalues decrease.
 
     Ties are broken by the squared diagonal at the first lag, then the

@@ -36,7 +36,6 @@ class ProcessSpec:
     ma: tuple = ()
     innovation: str = "gaussian"  # "gaussian" | "t"
     t_df: float = 5.0
-    normalize: bool = True  # rescale to unit theoretical variance
 
     def __post_init__(self):
         object.__setattr__(self, "ar", tuple(float(a) for a in self.ar))
@@ -70,9 +69,9 @@ class ProcessSpec:
         return self.kind == "white"
 
 
-def psi_weights(spec: ProcessSpec, n_terms: int = _PSI_TERMS) -> np.ndarray:
-    """Impulse-response (moving-average) weights of the process."""
-    impulse = np.zeros(n_terms)
+def psi_weights(spec: ProcessSpec) -> np.ndarray:
+    """The first _PSI_TERMS impulse-response (moving-average) weights."""
+    impulse = np.zeros(_PSI_TERMS)
     impulse[0] = 1.0
     return lfilter([1.0, *spec.ma], [1.0, *(-a for a in spec.ar)], impulse)
 
@@ -84,14 +83,15 @@ def theoretical_variance(spec: ProcessSpec) -> float:
 
 
 def theoretical_autocov(spec: ProcessSpec, lag: int) -> float:
-    """Lag autocovariance of the (possibly normalized) process."""
+    """Lag autocovariance of the process rescaled to unit variance."""
     psi = psi_weights(spec)
     g = float(psi[: len(psi) - lag] @ psi[lag:])
-    return g / theoretical_variance(spec) if spec.normalize else g
+    return g / theoretical_variance(spec)
 
 
 def generate(spec: ProcessSpec, n: int, seed) -> np.ndarray:
-    """Simulate n samples by innovation recursion with burn-in."""
+    """Simulate n samples by innovation recursion with burn-in, rescaled
+    to unit theoretical variance."""
     if n < 1:
         raise InvalidInputError("n must be >= 1")
     rng = np.random.default_rng(seed)
@@ -105,9 +105,7 @@ def generate(spec: ProcessSpec, n: int, seed) -> np.ndarray:
     if spec.kind == "white":
         return eps[burn:]
     x = lfilter([1.0, *spec.ma], [1.0, *(-a for a in spec.ar)], eps)[burn:]
-    if spec.normalize:
-        x = x / np.sqrt(theoretical_variance(spec))
-    return x
+    return x / np.sqrt(theoretical_variance(spec))
 
 
 @dataclass(frozen=True)
@@ -116,19 +114,11 @@ class SimSetting:
 
     name: str
     processes: tuple
-    mixing: str = "identity"  # "identity" | "uniform" | "fixed"
-    fixed_matrix: tuple = None
+    mixing: str = "identity"  # "identity" | "uniform"
 
     def __post_init__(self):
-        if self.mixing not in ("identity", "uniform", "fixed"):
+        if self.mixing not in ("identity", "uniform"):
             raise InvalidInputError(f"unknown mixing: {self.mixing!r}")
-        if self.mixing == "fixed":
-            m = np.asarray(self.fixed_matrix, dtype=float)
-            if m.shape != (self.p, self.p):
-                raise InvalidInputError("fixed mixing matrix has the wrong shape")
-            if np.linalg.cond(m) >= _MAX_MIX_CONDITION:
-                raise InvalidInputError("fixed mixing matrix is (near) singular")
-            object.__setattr__(self, "fixed_matrix", tuple(map(tuple, m)))
 
     @property
     def p(self) -> int:
@@ -231,10 +221,7 @@ def simulate_setting(setting: SimSetting, n: int, seed):
         [generate(spec, n, children[j]) for j, spec in enumerate(setting.processes)]
     )
     sources = MultiSeries(z)
-    mixing = setting.mixing if setting.mixing != "fixed" else np.asarray(
-        setting.fixed_matrix
-    )
-    x, omega = mix(sources, mixing, children[setting.p])
+    x, omega = mix(sources, setting.mixing, children[setting.p])
     return x, omega, sources
 
 

@@ -10,6 +10,7 @@ from sosdim import (
     energy_unmix,
     estimated_sources,
     match_components,
+    noise_test,
     sample_cov,
     sobi,
     to_energy_basis,
@@ -191,6 +192,18 @@ class TestEnergyBasis:
         again = energy_unmix(z, (2,), "amuse")
         assert np.array_equal(again.U, fit.U)
         assert np.array_equal(again.gamma, fit.gamma)
+
+    def test_single_lag_energy_basis_is_amuse(self):
+        x = self.signals_plus_noise()
+        a = amuse(x, 2)
+        b = energy_unmix(x, (2,), "sobi")
+        assert np.array_equal(b.U, a.U)
+        assert np.array_equal(b.pseudo_sums, a.pseudo_sums)
+        for q in range(x.p):
+            ta = noise_test(x, (2,), q, "amuse")
+            tb = noise_test(x, (2,), q, "sobi")
+            assert (tb.m_hat, tb.scaled_stat, tb.df, tb.p_value) == (
+                ta.m_hat, ta.scaled_stat, ta.df, ta.p_value)
 
 
 class TestUnmixDispatch:

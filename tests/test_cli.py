@@ -150,7 +150,11 @@ class TestTest:
                             "--test-kind", "bootstrap", "-B", "30",
                             "--seed", "3"], capsys)
         assert code == EXIT_OK
-        assert 0.0 < json.loads(out)["p_value"] <= 1.0
+        report = json.loads(out)
+        assert 0.0 < report["p_value"] <= 1.0
+        import jsonschema
+
+        jsonschema.validate(report, TEST_SCHEMA)
 
 
 class TestSimulate:

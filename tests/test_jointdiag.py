@@ -8,7 +8,6 @@ from sosdim import (
     joint_diagonalize,
     order_by_pseudo_eigenvalues,
 )
-from sosdim.series import LagSet
 
 
 def random_orthogonal(p, seed):
@@ -161,23 +160,21 @@ class TestOrdering:
 
     def test_sorted_input_unchanged(self):
         res = self.make_result([[2.0, 1.0], [0.0, 0.0]])
-        out = order_by_pseudo_eigenvalues(res, LagSet((1, 2)))
+        out = order_by_pseudo_eigenvalues(res)
         assert np.array_equal(out.diag_profiles, res.diag_profiles)
 
     def test_swaps_by_sum(self):
         res = self.make_result([[1.0, 2.0]])
-        out = order_by_pseudo_eigenvalues(res, LagSet((1,)))
+        out = order_by_pseudo_eigenvalues(res)
         assert np.allclose(out.diag_profiles, [[2.0, 1.0]])
 
     def test_tie_broken_by_first_lag(self):
         # Equal sums of squares, first-lag squares (0.04, 0.64).
         profiles = [[0.2, 0.8], [0.8, 0.2]]
-        out = order_by_pseudo_eigenvalues(self.make_result(profiles),
-                                          LagSet((1, 2)))
+        out = order_by_pseudo_eigenvalues(self.make_result(profiles))
         assert np.allclose(out.diag_profiles, [[0.8, 0.2], [0.2, 0.8]])
 
     def test_full_tie_keeps_original_order(self):
         profiles = [[0.5, 0.5], [0.1, 0.1]]
-        out = order_by_pseudo_eigenvalues(self.make_result(profiles),
-                                          LagSet((1, 2)))
+        out = order_by_pseudo_eigenvalues(self.make_result(profiles))
         assert np.array_equal(out.U, np.eye(2))

@@ -5,7 +5,6 @@ from sosdim import InvalidInputError, MultiSeries
 from sosdim.simulate import (
     ProcessSpec,
     SETTING_NAMES,
-    SimSetting,
     dimension_table,
     generate,
     make_setting,
@@ -186,12 +185,6 @@ class TestMix:
         z = self.sources()
         with pytest.raises(InvalidInputError):
             mix(z, np.eye(4))
-
-    def test_fixed_setting_validates_matrix(self):
-        procs = (ProcessSpec("white"), ProcessSpec("white"))
-        with pytest.raises(InvalidInputError):
-            SimSetting("custom", procs, mixing="fixed",
-                       fixed_matrix=((1.0, 1.0), (1.0, 1.0)))
 
 
 class TestSimulateSetting:
