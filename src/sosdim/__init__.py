@@ -52,17 +52,32 @@ from .series import (
     sym_inv_sqrt,
     symmetrize,
 )
-from .simulate import (
-    DimensionTable,
-    FrequencyTable,
-    ProcessSpec,
-    SimSetting,
-    dimension_table,
-    generate,
-    make_setting,
-    mix,
-    rejection_table,
-    simulate_setting,
-)
 
 __version__ = "0.1.0"
+
+# The Monte Carlo harness is imported on first use (PEP 562): sosdim.simulate
+# loads scipy.signal, which estimation and testing do not need.
+_SIMULATE_NAMES = frozenset({
+    "DimensionTable",
+    "FrequencyTable",
+    "ProcessSpec",
+    "SimSetting",
+    "dimension_table",
+    "generate",
+    "make_setting",
+    "mix",
+    "rejection_table",
+    "simulate_setting",
+})
+
+
+def __getattr__(name):
+    if name in _SIMULATE_NAMES:
+        from . import simulate
+
+        return getattr(simulate, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted(set(globals()) | _SIMULATE_NAMES)

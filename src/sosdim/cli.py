@@ -26,12 +26,6 @@ from .dimtest import (
 )
 from .errors import InvalidInputError, NearSingularCovarianceError, SosdimError
 from .series import LagSet, load_csv
-from .simulate import (
-    SETTING_NAMES,
-    dimension_table,
-    make_setting,
-    rejection_table,
-)
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -195,6 +189,10 @@ def cmd_test(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    # Imported here: sosdim.simulate loads scipy.signal, which the other
+    # subcommands do not need.
+    from .simulate import SETTING_NAMES, dimension_table, make_setting, rejection_table
+
     if args.setting not in SETTING_NAMES:
         raise InvalidInputError(
             f"unknown setting: {args.setting!r}; expected one of {SETTING_NAMES}"

@@ -8,6 +8,9 @@ divisor 1/(T - tau), both centered with the single global column mean.
 from __future__ import annotations
 
 import csv
+import itertools
+import os
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,6 +24,9 @@ from .errors import (
 
 #: Relative eigenvalue floor below which a covariance counts as singular.
 EIG_FLOOR_RATIO = 1e-12
+
+#: Characters per read when counting the records of a CSV file.
+_CHUNK_CHARS = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -150,6 +156,72 @@ def load_csv(path, header: bool = False) -> MultiSeries:
     Parse failures report 1-based row and column numbers. No missing
     values are allowed and every entry must be a finite decimal.
     """
+    try:
+        v = _parse_bulk(path, header)
+    except ValueError:  # a field numpy cannot read, or text that does not decode
+        v = None
+    return MultiSeries(v) if v is not None else _load_csv_rows(path, header)
+
+
+def _parse_bulk(path, header: bool):
+    """The file as numpy's C tokenizer reads it, or None where that array
+    might differ from what ``_load_csv_rows`` returns.
+
+    The array is kept only when the file holds no quote and the array has
+    one row per CSV record, one column per field of the first line and
+    only finite entries. ``loadtxt`` skips the blank lines that
+    ``csv.reader`` yields as empty records, so a blank line shows up as a
+    row-count mismatch.
+    """
+    if not os.path.isfile(path):  # a pipe yields its text only once
+        return None
+    layout = _csv_layout(path)
+    if layout is None:
+        return None
+    records, width = layout
+    if records <= header:  # no data record: the row parser reports empty input
+        return None
+    with open(path) as fh, warnings.catch_warnings():
+        # Text of blank lines alone warns "input contained no data".
+        warnings.simplefilter("ignore", UserWarning)
+        v = np.loadtxt(fh, dtype=float, delimiter=",", comments=None,
+                       skiprows=int(header), ndmin=2)
+    if v.shape != (records - header, width) or not np.isfinite(v).all():
+        return None
+    return v
+
+
+def _csv_layout(path):
+    """(records, fields on the first line) as ``csv.reader`` counts them,
+    or None when the text holds a quote, which can join lines into one
+    record.
+
+    The text is read in chunks, decoded and split as ``_load_csv_rows``
+    reads it: a record ends at ``\\n``, ``\\r`` or ``\\r\\n``, and a last line
+    without one is a record too.
+    """
+    with open(path, newline="") as fh:
+        first = fh.readline()
+        line = first.rstrip("\r\n")
+        width = line.count(",") + 1 if line else 0
+        records, prev = 0, ""
+        for chunk in itertools.chain([first], iter(lambda: fh.read(_CHUNK_CHARS), "")):
+            if '"' in chunk:
+                return None
+            records += chunk.count("\n")
+            if "\r" in chunk:  # a membership test is far cheaper than count
+                records += chunk.count("\r") - chunk.count("\r\n")
+            if prev == "\r" and chunk.startswith("\n"):
+                records -= 1
+            prev = chunk[-1:]
+    if prev not in ("", "\r", "\n"):
+        records += 1
+    return records, width
+
+
+def _load_csv_rows(path, header: bool = False) -> MultiSeries:
+    """``load_csv`` one record at a time with ``csv.reader``: the reference
+    parser, and the one that reports where a file is malformed."""
     rows = []
     width = None
     with open(path, newline="") as fh:

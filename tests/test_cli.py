@@ -220,3 +220,17 @@ class TestEntryPoint:
         )
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["d_hat"] == 0
+
+    def test_import_leaves_out_scipy_signal(self):
+        # Only `sosdim simulate` needs scipy.signal; the package resolves the
+        # simulation names on first use.
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, sosdim, sosdim.cli\n"
+             "assert 'scipy.signal' not in sys.modules\n"
+             "assert callable(sosdim.dimension_table)\n"
+             "assert callable(sosdim.simulate_setting)\n"
+             "assert 'scipy.signal' in sys.modules\n"],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 0, proc.stderr

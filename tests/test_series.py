@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -16,6 +20,7 @@ from sosdim import (
     sym_inv_sqrt,
     symmetrize,
 )
+from sosdim import series as series_module
 
 
 def series(arr):
@@ -238,3 +243,89 @@ class TestCsv:
         with pytest.raises(CsvParseError) as err:
             load_csv(path)
         assert err.value.row == 2
+
+
+# Inputs on which the bulk parser in load_csv must agree with the row
+# parser: the same array, or the same error at the same row and column.
+CSV_CASES = {
+    "plain": "1.5,-2\n0.12345678901234567,4e-2\n5,6\n7,8\n",
+    "no_final_newline": "1,2\n3,4\n5,6\n7,8",
+    "crlf": "1,2\r\n3,4\r\n5,6\r\n7,8\r\n",
+    "cr_only": "1,2\r3,4\r5,6\r7,8\r",
+    "blank_line_middle": "1,2\n3,4\n\n5,6\n7,8\n",
+    "blank_line_end": "1,2\n3,4\n5,6\n7,8\n\n",
+    "whitespace_line": "1,2\n3,4\n \t \n5,6\n7,8\n",
+    "hash_in_field": "1,2\n3,4\n5,#6\n7,8\n",
+    "quoted_field": '1,2\n3,4\n"5",6\n7,8\n',
+    "open_quote_in_header": 'a,"b\n1,2\n3,4\n5,6\n',
+    "nan": "1,2\n3,4\nnan,6\n7,8\n",
+    "inf": "1,2\n3,4\n5,-inf\n7,8\n",
+    "overflow": "1,2\n3,4\n5,1e400\n7,8\n",
+    "underscore": "1,2\n3,4\n1_0,6\n7,8\n",
+    "hex": "1,2\n3,4\n0x10,6\n7,8\n",
+    "padded": " 1 , 2 \n3,  4\n5  ,6\n7,8\n",
+    "tab_padded": "\t1,2\t\n3\t,\t4\n5,6\n7,8\n",
+    "float_forms": "+.5,5.\n1E3,-0\n5,6\n7,8\n",
+    "trailing_comma": "1,2,\n3,4,\n5,6,\n7,8,\n",
+    "ragged_row": "1,2\n3,4\n5\n7,8\n",
+    "empty_file": "",
+    "only_newline": "\n",
+    "single_column": "1\n2\n3\n4\n",
+    "header": "a,b\n1,2\n3,4\n5,6\n",
+    "header_wider": "a,b,c\n1,2\n3,4\n5,6\n",
+    "utf8_bom": "\ufeff1,2\n3,4\n5,6\n7,8\n",
+    "semicolon": "1;2\n3;4\n5;6\n7;8\n",
+    "nul": "1,2\n3,4\n5,\x006\n7,8\n",
+}
+
+
+def _outcome(parse, path, header):
+    try:
+        return "ok", parse(path, header=header).values
+    except CsvParseError as err:
+        return "CsvParseError", err.row, err.col, str(err)
+    except Exception as err:
+        return type(err).__name__, str(err)
+
+
+@pytest.mark.parametrize("header", [False, True])
+@pytest.mark.parametrize("name", sorted(CSV_CASES))
+def test_bulk_and_row_parsers_agree(tmp_path, name, header):
+    path = tmp_path / "x.csv"
+    path.write_bytes(CSV_CASES[name].encode("utf-8"))
+    got = _outcome(series_module.load_csv, path, header)
+    want = _outcome(series_module._load_csv_rows, path, header)
+    assert got[0] == want[0]
+    if got[0] == "ok":
+        assert np.array_equal(got[1], want[1])
+    else:
+        assert got == want
+
+
+@pytest.mark.parametrize("header", [False, True])
+@pytest.mark.parametrize("newline, final", [("\n", True), ("\n", False),
+                                            ("\r\n", True), ("\r", True)])
+def test_well_formed_file_skips_row_parser(tmp_path, monkeypatch, header,
+                                           newline, final):
+    def refuse(path, header=False):
+        raise AssertionError("row parser reached on a well-formed file")
+
+    data = np.random.default_rng(16).standard_normal((200, 5))
+    lines = [",".join(f"{v:.17g}" for v in row) for row in data]
+    text = newline.join((["a,b,c,d,e"] if header else []) + lines)
+    path = tmp_path / "x.csv"
+    path.write_bytes((text + newline if final else text).encode())
+    monkeypatch.setattr(series_module, "_load_csv_rows", refuse)
+    assert np.array_equal(load_csv(path, header=header).values, data)
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/stdin"), reason="needs /dev/stdin")
+def test_reads_a_pipe():
+    # A pipe can be read once, so load_csv must not read it twice.
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "from sosdim import load_csv; print(load_csv('/dev/stdin').values.tolist())"],
+        input="1,2\n3,4\n5,6\n", capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]]"
