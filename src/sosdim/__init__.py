@@ -12,9 +12,7 @@ from .bss import (
     amuse,
     energy_unmix,
     estimated_sources,
-    match_components,
     sobi,
-    to_energy_basis,
     unmix,
 )
 from .dimtest import (
@@ -37,14 +35,12 @@ from .errors import (
 )
 from .jointdiag import (
     JointDiagResult,
-    generalized_eig,
     joint_diagonalize,
     order_by_pseudo_eigenvalues,
 )
 from .series import (
     LagSet,
     MultiSeries,
-    center,
     load_csv,
     sample_autocov,
     sample_cov,

@@ -7,15 +7,15 @@ trailing components are the white-noise candidates.
 The white-noise subspace tests read only a fit's stack H of whitened
 autocovariances and take it on its energy basis: the eigenbasis of
 sum_tau H_tau^2, ordered by total lagged autocorrelation energy. One
-function computes that basis (_energy_basis). At a single lag it is
-AMUSE's own U, and amuse is energy_unmix at one lag. With several lags
-it differs from SOBI's U, which stays the estimator of the sources;
-to_energy_basis and energy_unmix give the fit on the energy basis.
+function computes that basis (_energy_basis), and energy_unmix is the one
+fit on it. At a single lag it is AMUSE's own U, and amuse is energy_unmix
+at one lag. With several lags it differs from SOBI's U, which stays the
+estimator of the sources.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -47,11 +47,20 @@ class UnmixingResult:
 
 
 def _energy_basis(h: np.ndarray):
-    """(energy, U): the energy basis of a whitened autocovariance stack.
+    """(energy, U): the energy basis of a whitened autocovariance stack,
+    where the white-noise tests run.
 
     U holds the eigenvectors of sum_tau H_tau^2 in decreasing order of
     their eigenvalues, the energies. At a single lag they are taken from
     H_tau itself, ordered by squared eigenvalue, which is the same basis.
+
+    The energy of a column u is sum_tau ||H_tau u||^2, and every trailing
+    block W = U[:, q:] minimises sum_tau ||H_tau W||^2, an upper bound on
+    the white-noise statistic at q. SOBI's rotation has no such property:
+    inside a block of white noise it turns towards the directions in which
+    the sampled noise looks most autocorrelated, so tests of q above the
+    true signal count, run on its trailing columns, reject far too often.
+    The basis does not separate sources of equal total energy; sobi does.
     """
     if len(h) == 1:
         d, u = _ordered_eigh(h[0])
@@ -86,35 +95,10 @@ def sobi(x: MultiSeries, lags) -> UnmixingResult:
     )
 
 
-def to_energy_basis(fit: UnmixingResult) -> UnmixingResult:
-    """The fit rotated onto its energy basis, where the white-noise tests run.
-
-    The energy basis is the eigenbasis of sum_tau H_tau^2 in decreasing
-    order of eigenvalue. The eigenvalue of a column u is its total lagged
-    autocorrelation energy sum_tau ||H_tau u||^2 and becomes its pseudo_sum,
-    and every trailing block W = U[:, q:] minimises sum_tau ||H_tau W||^2,
-    an upper bound on the white-noise statistic at q. SOBI's joint
-    diagonalizer has no such property: inside a block of white noise it
-    turns U towards the directions in which the sampled noise looks most
-    autocorrelated, so tests of q above the true signal count, run on its
-    trailing columns, reject far too often.
-
-    An AMUSE fit is returned as is, since the eigenvectors of its single
-    H_tau ordered by squared eigenvalue already are this basis. Otherwise
-    the rotation replaces the diagonalizer's and does not depend on it, so
-    the result reports converged. The basis does not separate sources of
-    equal total energy; estimate sources with sobi.
-    """
-    if fit.method == "amuse":
-        return fit
-    energy, u = _energy_basis(fit.H)
-    return replace(fit, gamma=u.T @ (fit.U @ fit.gamma), U=u,
-                   pseudo_sums=energy, converged=True)
-
-
 def energy_unmix(x: MultiSeries, lags, method: str) -> UnmixingResult:
-    """to_energy_basis(unmix(x, lags, method)), without SOBI's joint
-    diagonalization, whose rotation to_energy_basis would discard."""
+    """The fit of x on the energy basis of its stack (see _energy_basis).
+    For "sobi" that basis replaces the joint diagonalizer's rotation, so
+    the diagonalizer is not run and the fit reports converged."""
     lags = LagSet(tuple(lags))
     if method not in ("amuse", "sobi"):
         raise InvalidInputError(f"unknown method: {method!r}")
@@ -148,33 +132,3 @@ def estimated_sources(x: MultiSeries, r: UnmixingResult) -> MultiSeries:
         )
     xc = x.values - x.values.mean(axis=0)
     return MultiSeries(xc @ r.gamma.T)
-
-
-def match_components(a: np.ndarray, b: np.ndarray):
-    """Greedy signed-permutation match of the columns of two source arrays.
-
-    Pairs columns by maximal absolute correlation and returns
-    (permutation, signs, correlations) such that b[:, perm] * signs
-    best matches a column-wise. Quotients out the sign/permutation
-    unidentifiability of unmixing estimates.
-    """
-    a = np.asarray(a, float)
-    b = np.asarray(b, float)
-    pa = a.shape[1]
-    corr = np.corrcoef(a, b, rowvar=False)[:pa, pa:]
-    perm = np.full(pa, -1, dtype=int)
-    signs = np.ones(pa)
-    best = np.zeros(pa)
-    taken = set()
-    pairs = sorted(
-        ((i, j) for i in range(pa) for j in range(corr.shape[1])),
-        key=lambda ij: -abs(corr[ij]),
-    )
-    for i, j in pairs:
-        if perm[i] >= 0 or j in taken:
-            continue
-        perm[i] = j
-        taken.add(j)
-        best[i] = abs(corr[i, j])
-        signs[i] = 1.0 if corr[i, j] >= 0 else -1.0
-    return perm, signs, best

@@ -34,8 +34,14 @@ EXIT_NUMERIC = 3
 SEED_ENV_VAR = "SOSDIM_SEED"
 
 
-def _default_seed() -> int:
-    return int(os.environ.get(SEED_ENV_VAR, "0"))
+def _seed(args) -> int:
+    """--seed, else $SOSDIM_SEED, else 0."""
+    text = os.environ.get(SEED_ENV_VAR, "0") if args.seed is None else args.seed
+    try:
+        return int(text)
+    except ValueError:
+        raise InvalidInputError(
+            f"{SEED_ENV_VAR} must be an integer, got {text!r}") from None
 
 
 def _add_common(sub):
@@ -123,10 +129,21 @@ def _emit_json(payload: dict, output):
     _emit(json.dumps(payload, indent=2, sort_keys=True) + "\n", output)
 
 
+def _emit_trace_csv(entries, output):
+    """One q,stat,df,p_value,converged row per _test_entry dict."""
+    lines = ["q,stat,df,p_value,converged"]
+    for t in entries:
+        lines.append(
+            f"{t['q']},{t['stat']:.12g},{t['df']},{t['p_value']:.12g},"
+            f"{str(t['converged']).lower()}"
+        )
+    _emit("\n".join(lines) + "\n", output)
+
+
 def cmd_estimate(args) -> int:
     x = load_csv(args.input, header=args.header)
     lags, method = _resolve_lags(args)
-    seed = args.seed if args.seed is not None else _default_seed()
+    seed = _seed(args)
     est = estimate_dimension(
         x,
         lags,
@@ -141,13 +158,7 @@ def cmd_estimate(args) -> int:
     if args.format == "json":
         _emit_json(report, args.output)
     elif args.format == "csv":
-        lines = ["q,stat,df,p_value,converged"]
-        for t in report["trace"]:
-            lines.append(
-                f"{t['q']},{t['stat']:.12g},{t['df']},{t['p_value']:.12g},"
-                f"{str(t['converged']).lower()}"
-            )
-        _emit("\n".join(lines) + "\n", args.output)
+        _emit_trace_csv(report["trace"], args.output)
     else:
         lines = [
             f"estimated signal dimension: {est.d_hat} "
@@ -164,7 +175,7 @@ def cmd_estimate(args) -> int:
 def cmd_test(args) -> int:
     x = load_csv(args.input, header=args.header)
     lags, method = _resolve_lags(args)
-    seed = args.seed if args.seed is not None else _default_seed()
+    seed = _seed(args)
     if args.test_kind == "asymptotic":
         ts = noise_test(x, lags, args.q, method)
     else:
@@ -173,12 +184,7 @@ def cmd_test(args) -> int:
     if args.format == "json":
         _emit_json(report, args.output)
     elif args.format == "csv":
-        _emit(
-            "q,stat,df,p_value,converged\n"
-            f"{ts.q},{ts.scaled_stat:.12g},{ts.df},{ts.p_value:.12g},"
-            f"{str(report['converged']).lower()}\n",
-            args.output,
-        )
+        _emit_trace_csv([report], args.output)
     else:
         _emit(
             f"H0(q={ts.q}): stat={ts.scaled_stat:.4f} df={ts.df} "
@@ -205,7 +211,7 @@ def cmd_simulate(args) -> int:
         raise InvalidInputError(f"bad sample-size list: {args.n!r}") from None
     methods = (args.method,) if args.method else tuple(args.methods.split(","))
     setting = make_setting(args.setting)
-    seed = args.seed if args.seed is not None else _default_seed()
+    seed = _seed(args)
     start = time.perf_counter()
     if args.table == "rejection":
         if args.q is None:

@@ -6,7 +6,7 @@ lag set. Scaled by T * |lags| * (p - q)^2 it is asymptotically chi-square
 with |lags| * (p - q) * (p - q + 1) / 2 degrees of freedom.
 
 W_q holds the trailing p - q columns of the energy basis of the whitened
-autocovariance stack H (see bss.to_energy_basis), which orders components
+autocovariance stack H (see bss._energy_basis), which orders components
 by total lagged autocorrelation energy. For AMUSE that is AMUSE's own
 rotation. For SOBI it is not the joint diagonalizer's rotation, which
 adapts to a block of white noise and would make every q above the true
@@ -17,9 +17,11 @@ The tests read only a fit's H, so any fit of the same data and lags gives
 the same tests. All q come from the one stack G_tau = W^T H_tau W of the
 full energy basis W: the noise block of q is the trailing (p - q) x
 (p - q) block of every G_tau, so suffix sums of sum_tau G_tau^2 give
-every statistic in one pass (all_q_tests). A bootstrap replicate needs
-only its own stack, not a fit. The p-values are scipy's chi-square tail
-(scipy.special.chdtrc).
+every statistic in one pass (all_q_tests). The p-values are scipy's
+chi-square tail (scipy.special.chdtrc). A bootstrap replicate resamples
+the trailing sources on the energy basis and needs only its own stack:
+whitening removes any mixing up to a rotation, and the replicate's own
+energy basis removes the rotation.
 """
 
 from __future__ import annotations
@@ -29,13 +31,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.special import chdtrc
 
-from .bss import (
-    UnmixingResult,
-    _energy_basis,
-    energy_unmix,
-    estimated_sources,
-    to_energy_basis,
-)
+from .bss import UnmixingResult, _energy_basis, energy_unmix, estimated_sources
 from .errors import InvalidInputError
 from .series import LagSet, MultiSeries, standardized_autocovs
 
@@ -66,10 +62,9 @@ class DimensionEstimate:
 STRATEGIES = ("forward", "backward", "divide_and_conquer")
 
 
-def _m_hat(h: np.ndarray) -> np.ndarray:
+def _m_hat(h: np.ndarray, u: np.ndarray) -> np.ndarray:
     """m_hat for every q, from the stack G_tau = U^T H_tau U of the whitened
-    autocovariance stack h on its energy basis U."""
-    _, u = _energy_basis(h)
+    autocovariance stack h on its energy basis u."""
     g = u.T @ h @ u
     sq = (((g + g.transpose(0, 2, 1)) / 2.0) ** 2).sum(axis=0)
     # tail[q] sums sq over the trailing block [q:, q:].
@@ -82,11 +77,16 @@ def all_q_tests(fit: UnmixingResult, T: int) -> tuple:
     """Asymptotic tests of every q = 0, ..., p - 1, indexed by q.
 
     Every statistic is a trailing block of the fit's stack H on its energy
-    basis, so the tests read H alone: a SOBI fit, its energy basis and
-    energy_unmix of the same data give the same tests.
+    basis, so the tests read H alone: a SOBI fit and energy_unmix of the
+    same data give the same tests.
     """
+    return _tests(fit, T, _energy_basis(fit.H)[1])
+
+
+def _tests(fit: UnmixingResult, T: int, u: np.ndarray) -> tuple:
+    """all_q_tests(fit, T), given the energy basis u of fit.H."""
     k = len(fit.lags)
-    m_hat = _m_hat(fit.H)
+    m_hat = _m_hat(fit.H, u)
     r = fit.p - np.arange(fit.p)
     stat = T * k * r * r * m_hat
     df = k * r * (r + 1) // 2
@@ -119,28 +119,21 @@ def noise_test(x: MultiSeries, lags, q: int, method: str = "sobi") -> TestResult
     return test_statistic(energy_unmix(x, lags, method), q, x.T)
 
 
-def _bootstrap_p(
-    x: MultiSeries,
-    fit: UnmixingResult,
-    ts: TestResult,
-    b_reps: int,
-    seed,
-) -> float:
-    """Bootstrap p-value of the asymptotic test ts, resampling the sources
-    of a fit on its energy basis."""
+def _bootstrap_p(z: np.ndarray, lags: LagSet, ts: TestResult, b_reps: int,
+                 seed) -> float:
+    """Bootstrap p-value of the asymptotic test ts, resampling the rows of
+    z[:, q:], where z holds the centred sources on the energy basis."""
+    if b_reps < 1:
+        raise InvalidInputError("bootstrap replicate count must be >= 1")
     q = ts.q
-    z = estimated_sources(x, fit).values
-    ginv = np.linalg.inv(fit.gamma)
-    children = np.random.SeedSequence(seed).spawn(b_reps)
+    n = len(z)
     count = 0
-    n = x.T
-    for child in children:
-        rng = np.random.default_rng(child)
-        idx = rng.integers(0, n, size=n)
+    for child in np.random.SeedSequence(seed).spawn(b_reps):
+        idx = np.random.default_rng(child).integers(0, n, size=n)
         z_star = z.copy()
         z_star[:, q:] = z[idx, q:]
-        x_star = MultiSeries(z_star @ ginv.T)
-        if _m_hat(standardized_autocovs(x_star, fit.lags)[1])[q] >= ts.m_hat:
+        h = standardized_autocovs(MultiSeries(z_star), lags)[1]
+        if _m_hat(h, _energy_basis(h)[1])[q] >= ts.m_hat:
             count += 1
     return (1 + count) / (b_reps + 1)
 
@@ -153,17 +146,17 @@ def bootstrap_noise_test(
     b_reps: int = 200,
     seed=0,
 ) -> TestResult:
-    """Nonparametric bootstrap test: the trailing p - q estimated sources
-    are resampled jointly over time with replacement, remixed with the
-    inverse unmixing matrix, and the statistic is recomputed per replicate.
+    """Nonparametric bootstrap test: the trailing p - q sources on the
+    energy basis are resampled jointly over time with replacement, and the
+    statistic is recomputed per replicate.
 
     p-value uses the (1 + count) / (B + 1) convention.
     """
-    if b_reps < 1:
-        raise InvalidInputError("bootstrap replicate count must be >= 1")
     fit = energy_unmix(x, lags, method)
     ts = test_statistic(fit, q, x.T)
-    return replace(ts, p_value=_bootstrap_p(x, fit, ts, b_reps, seed))
+    # The sources of an energy fit already lie on the energy basis.
+    z = estimated_sources(x, fit).values
+    return replace(ts, p_value=_bootstrap_p(z, fit.lags, ts, b_reps, seed))
 
 
 def _is_monotone(p_values: dict, alpha: float) -> bool:
@@ -216,8 +209,8 @@ def estimate_dimension_from_fit(
     Lets several strategies share one fit of the same data instead of
     re-estimating the unmixing per call. The tests read only the fit's H
     (see all_q_tests), so a SOBI fit gives the same estimate as
-    estimate_dimension; the bootstrap resamples the sources of
-    to_energy_basis(fit).
+    estimate_dimension; the bootstrap resamples the sources on the energy
+    basis of H.
     """
     if not 0.0 < alpha < 1.0:
         raise InvalidInputError(f"alpha must be in (0, 1), got {alpha}")
@@ -227,13 +220,16 @@ def estimate_dimension_from_fit(
         raise InvalidInputError(f"unknown test kind: {test_kind!r}")
     if fit.p != x.p:
         raise InvalidInputError("fit and series dimensions disagree")
-    tests = list(all_q_tests(fit, x.T))
-    efit = to_energy_basis(fit) if test_kind == "bootstrap" else None
+    u = _energy_basis(fit.H)[1]
+    tests = list(_tests(fit, x.T, u))
+    # The bootstrap resamples the sources on the energy basis u of H.
+    z = (estimated_sources(x, fit).values @ (fit.U.T @ u)
+         if test_kind == "bootstrap" else None)
 
     def p_value(q: int) -> float:
-        if efit is not None:
+        if z is not None:
             tests[q] = replace(tests[q], p_value=_bootstrap_p(
-                x, efit, tests[q], b_reps, [_seed_int(seed), q]))
+                z, fit.lags, tests[q], b_reps, [_seed_int(seed), q]))
         return tests[q].p_value
 
     d_hat, order, monotone = _select_dimension(p_value, fit.p, alpha, strategy)

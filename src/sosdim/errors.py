@@ -18,9 +18,10 @@ class NearSingularCovarianceError(SosdimError, ArithmeticError):
 
 
 class CsvParseError(InvalidInputError):
-    """CSV input could not be parsed; carries 1-based row/column."""
+    """CSV input could not be parsed; carries 1-based row/column (or None)."""
 
     def __init__(self, row, col, message):
         self.row = row
         self.col = col
-        super().__init__(f"row {row}, column {col}: {message}")
+        where = f"row {row}" if col is None else f"row {row}, column {col}"
+        super().__init__(f"{where}: {message}")

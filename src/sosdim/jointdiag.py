@@ -1,4 +1,5 @@
-"""Generalized eigendecomposition and orthogonal approximate joint diagonalization.
+"""Ordered symmetric eigendecomposition and orthogonal approximate joint
+diagonalization.
 
 The joint diagonalizer is a cyclic-by-rows Jacobi scheme: for every index
 pair (i < j) the closed-form Givens angle maximizing the summed squared
@@ -14,7 +15,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInputError
-from .series import sym_inv_sqrt, symmetrize
 
 DEFAULT_TOL = 1e-10
 DEFAULT_MAX_SWEEPS = 100
@@ -124,18 +124,6 @@ def joint_diagonalize(h, tol: float = DEFAULT_TOL,
     profiles = np.einsum("kii->ki", rotated).copy()
     off = float(np.sum(rotated**2) - np.sum(profiles**2))
     return JointDiagResult(u, profiles, sweeps, converged, max(off, 0.0))
-
-
-def generalized_eig(s0: np.ndarray, r: np.ndarray):
-    """Generalized eigendecomposition: Gamma S0 Gamma^T = I, Gamma R Gamma^T = diag(D).
-
-    Implemented as the symmetric eigendecomposition of S0^{-1/2} R S0^{-1/2}
-    composed with S0^{-1/2}. Rows are ordered by decreasing D^2 (ties:
-    larger D first).
-    """
-    m = sym_inv_sqrt(s0)
-    d, v = _ordered_eigh(symmetrize(m @ symmetrize(np.asarray(r, float)) @ m))
-    return v.T @ m, d
 
 
 def order_by_pseudo_eigenvalues(result: JointDiagResult) -> JointDiagResult:

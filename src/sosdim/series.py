@@ -85,11 +85,6 @@ class LagSet:
         return self.lags[-1]
 
 
-def center(x: MultiSeries) -> MultiSeries:
-    """Remove the column means from the series."""
-    return MultiSeries(x.values - x.values.mean(axis=0))
-
-
 def sample_cov(x: MultiSeries) -> np.ndarray:
     """Sample covariance with divisor 1/T; exactly symmetric."""
     xc = x.values - x.values.mean(axis=0)
@@ -219,14 +214,25 @@ def _csv_layout(path):
     return records, width
 
 
+def _records(fh):
+    """``csv.reader(fh)``, raising its errors and decoding errors as input errors."""
+    reader = csv.reader(fh)
+    try:
+        yield from reader
+    except csv.Error as exc:  # e.g. a field over csv.field_size_limit()
+        raise CsvParseError(reader.line_num, None, str(exc)) from None
+    except UnicodeDecodeError as exc:
+        raise InvalidInputError(
+            f"input does not decode as {exc.encoding}: {exc.reason}") from None
+
+
 def _load_csv_rows(path, header: bool = False) -> MultiSeries:
     """``load_csv`` one record at a time with ``csv.reader``: the reference
     parser, and the one that reports where a file is malformed."""
     rows = []
     width = None
     with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        for r, record in enumerate(reader, start=1):
+        for r, record in enumerate(_records(fh), start=1):
             if header and r == 1:
                 width = len(record)
                 continue

@@ -358,6 +358,8 @@ def rejection_table(
     n_jobs: int = 1,
 ) -> FrequencyTable:
     """Fraction of replicates rejecting H_{0q} per (n, method) cell."""
+    if not 0.0 < alpha < 1.0:
+        raise InvalidInputError(f"alpha must be in (0, 1), got {alpha}")
     n_list, methods, out, timings = _cells(
         _rejection_rep, setting, n_list, methods, reps, seed,
         (q, alpha, test_kind, b_reps), n_jobs)

@@ -19,12 +19,11 @@ from sosdim import (
     estimate_dimension_from_fit,
     estimated_sources,
     joint_diagonalize,
-    match_components,
     noise_test,
     unmix,
 )
 from sosdim.bss import LAG_PRESETS
-from sosdim.series import center, sample_autocov, symmetrize
+from sosdim.series import sample_autocov, symmetrize
 from sosdim.simulate import (
     ProcessSpec,
     SimSetting,
@@ -32,6 +31,8 @@ from sosdim.simulate import (
     rejection_table,
     simulate_setting,
 )
+
+from helpers import match_components
 
 MASTER = 12345
 
@@ -113,7 +114,8 @@ class TestAcceptance:
         vecs = np.empty((reps, 2 * r * r))
         for rep in range(reps):
             rng = np.random.default_rng([MASTER, 7, rep])
-            x = center(MultiSeries(rng.standard_normal((T, r))))
+            v = rng.standard_normal((T, r))
+            x = MultiSeries(v - v.mean(axis=0))
             blocks = [symmetrize(sample_autocov(x, t)) for t in lags]
             vecs[rep] = np.sqrt(T) * np.concatenate(
                 [b.flatten(order="F") for b in blocks]

@@ -1,3 +1,4 @@
+import csv
 import json
 import subprocess
 import sys
@@ -108,6 +109,14 @@ class TestEstimate:
         _, out_seed, _ = run(argv + ["--seed", "7"], capsys)
         assert out_env == out_seed
 
+    def test_env_var_seed_must_be_an_integer(self, noise_csv, capsys,
+                                             monkeypatch):
+        monkeypatch.setenv(SEED_ENV_VAR, "seven")
+        code, out, err = run(["estimate", "--input", noise_csv], capsys)
+        assert code == EXIT_INPUT
+        assert out == ""
+        assert SEED_ENV_VAR in err and "'seven'" in err
+
     def test_missing_file(self, capsys):
         code, _, err = run(["estimate", "--input", "/no/such/file.csv"], capsys)
         assert code == EXIT_INPUT
@@ -119,6 +128,31 @@ class TestEstimate:
         code, _, err = run(["estimate", "--input", str(path)], capsys)
         assert code == EXIT_INPUT
         assert "row 2" in err and "column 2" in err
+
+    def test_undecodable_byte_is_an_input_error(self, tmp_path, capsys):
+        path = tmp_path / "bytes.csv"
+        path.write_bytes(b"1.0,2.0\n\xff,3.0\n4.0,5.0\n")
+        with open(path) as fh:
+            encoding = fh.encoding
+        try:
+            b"\xff".decode(encoding)
+        except UnicodeDecodeError:
+            pass
+        else:
+            pytest.skip(f"{encoding} decodes every byte")
+        code, _, err = run(["estimate", "--input", str(path)], capsys)
+        assert code == EXIT_INPUT
+        assert "does not decode" in err
+
+    def test_oversized_field_reports_its_row(self, tmp_path, capsys):
+        # The NA cell sends the file to the row parser, which meets the
+        # oversized field first.
+        big = "0." + "0" * (csv.field_size_limit() + 10) + "1"
+        path = tmp_path / "big.csv"
+        path.write_text(f"1.0,2.0\n{big},1.0\n3.0,NA\n")
+        code, _, err = run(["estimate", "--input", str(path)], capsys)
+        assert code == EXIT_INPUT
+        assert "row 2:" in err and "field limit" in err
 
     def test_unknown_flag(self, noise_csv, capsys):
         code, _, _ = run(["estimate", "--input", noise_csv, "--bogus"], capsys)
@@ -192,6 +226,16 @@ class TestSimulate:
             "--q", "3",
         ], capsys)
         assert code == EXIT_INPUT
+
+    def test_bootstrap_needs_a_replicate(self, capsys):
+        code, out, err = run([
+            "simulate", "--setting", "H1", "--table", "dimension",
+            "--n", "200", "--reps", "2", "--method", "amuse",
+            "--test-kind", "bootstrap", "-B", "0", "--threads", "1",
+        ], capsys)
+        assert code == EXIT_INPUT
+        assert out == ""
+        assert "replicate count" in err
 
     def test_rejection_needs_q(self, capsys):
         code, _, err = run([

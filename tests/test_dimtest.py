@@ -8,10 +8,10 @@ from sosdim import (
     MultiSeries,
     all_q_tests,
     bootstrap_noise_test,
+    energy_unmix,
     estimate_dimension,
     estimate_dimension_from_fit,
     noise_test,
-    to_energy_basis,
     unmix,
 )
 from sosdim import test_statistic as statistic_of
@@ -75,7 +75,7 @@ class TestStatistic:
 
     def test_brute_force_recomputation(self):
         x = white_series(1000, 4, 5)
-        fit = to_energy_basis(unmix(x, (1, 2, 3), "sobi"))
+        fit = energy_unmix(x, (1, 2, 3), "sobi")
         for q in range(4):
             ts = noise_test(x, (1, 2, 3), q, "sobi")
             w = fit.U[:, q:]
@@ -101,6 +101,13 @@ class TestStatistic:
             assert got.df == want.df
             assert got.scaled_stat == pytest.approx(want.scaled_stat, rel=1e-10)
             assert got.p_value == pytest.approx(want.p_value, abs=1e-12)
+        # So does the bootstrap: it resamples the sources on that basis.
+        a = estimate_dimension_from_fit(x, fit, test_kind="bootstrap",
+                                        b_reps=20, seed=3)
+        b = estimate_dimension(x, range(1, 7), test_kind="bootstrap",
+                               b_reps=20, seed=3)
+        assert [(t.q, t.p_value) for t in a.trace] == [
+            (t.q, t.p_value) for t in b.trace]
 
     def test_invariance_under_orthogonal_premixing(self):
         x = white_series(2000, 4, 6)
@@ -163,6 +170,8 @@ class TestBootstrap:
         x = white_series(400, 2, 14)
         with pytest.raises(InvalidInputError):
             bootstrap_noise_test(x, (1,), 1, "sobi", b_reps=0)
+        with pytest.raises(InvalidInputError, match="replicate count"):
+            estimate_dimension(x, (1,), test_kind="bootstrap", b_reps=0)
 
     def test_close_to_asymptotic_on_null(self):
         # Same replicates through both tests; rejection rates within 0.03.

@@ -4,10 +4,16 @@ import pytest
 from sosdim import (
     InvalidInputError,
     JointDiagResult,
-    generalized_eig,
+    MultiSeries,
+    amuse,
     joint_diagonalize,
     order_by_pseudo_eigenvalues,
+    sample_autocov,
+    sample_cov,
+    sym_inv_sqrt,
+    symmetrize,
 )
+from sosdim.jointdiag import _ordered_eigh
 
 
 def random_orthogonal(p, seed):
@@ -29,28 +35,42 @@ def diag_mass(u, mats):
 
 
 class TestGeneralizedEig:
+    """AMUSE's generalized eigendecomposition of (S0, R_tau): the
+    eigendecomposition of S0^{-1/2} sym(R_tau) S0^{-1/2} (_ordered_eigh)
+    composed with S0^{-1/2}."""
+
+    @staticmethod
+    def whitened(s0, r):
+        m = sym_inv_sqrt(s0)
+        return m @ symmetrize(r) @ m
+
     def test_already_diagonal(self):
-        gamma, d = generalized_eig(np.eye(3), np.diag([3.0, 1.0, -2.0]))
+        d, v = _ordered_eigh(self.whitened(np.eye(3), np.diag([3.0, 1.0, -2.0])))
         assert np.allclose(d, [3.0, -2.0, 1.0])
-        assert np.allclose(np.abs(gamma), np.eye(3)[[0, 2, 1]])
+        assert np.allclose(np.abs(v.T), np.eye(3)[[0, 2, 1]])
 
     def test_post_identities(self):
+        # amuse's Gamma on a series whose covariance is about s0:
+        # Gamma S0 Gamma^T = I and Gamma sym(R_tau) Gamma^T = diag(D).
         rng = np.random.default_rng(0)
         a = rng.standard_normal((4, 4))
         s0 = a @ a.T + 4.0 * np.eye(4)
-        r = rng.standard_normal((4, 4))
-        r = (r + r.T) / 2
-        gamma, d = generalized_eig(s0, r)
-        assert np.abs(gamma @ s0 @ gamma.T - np.eye(4)).max() <= 1e-9
+        x = MultiSeries(rng.standard_normal((2000, 4)) @ np.linalg.cholesky(s0).T)
+        fit = amuse(x, 1)
+        gamma = fit.gamma
+        r = symmetrize(sample_autocov(x, 1))
+        d = np.diag(gamma @ r @ gamma.T)
+        assert np.abs(gamma @ sample_cov(x) @ gamma.T - np.eye(4)).max() <= 1e-9
         assert np.abs(gamma @ r @ gamma.T - np.diag(d)).max() <= 1e-9
+        assert np.allclose(d**2, fit.pseudo_sums, rtol=1e-9, atol=1e-15)
 
     def test_two_by_two_hand_case(self):
-        gamma, d = generalized_eig(np.diag([4.0, 4.0]),
-                                   np.array([[0.0, 2.0], [2.0, 0.0]]))
+        d, _ = _ordered_eigh(self.whitened(np.diag([4.0, 4.0]),
+                                           np.array([[0.0, 2.0], [2.0, 0.0]])))
         assert np.allclose(d, [0.5, -0.5])
 
     def test_ordering_by_squared_eigenvalue(self):
-        _, d = generalized_eig(np.eye(3), np.diag([0.5, -3.0, 2.0]))
+        d, _ = _ordered_eigh(self.whitened(np.eye(3), np.diag([0.5, -3.0, 2.0])))
         assert list(d) == [-3.0, 2.0, 0.5]
 
 

@@ -12,7 +12,6 @@ from sosdim import (
     LagTooLargeError,
     MultiSeries,
     NearSingularCovarianceError,
-    center,
     load_csv,
     sample_autocov,
     sample_cov,
@@ -46,27 +45,6 @@ class TestContainers:
             LagSet((2, 2))
         with pytest.raises(InvalidInputError):
             LagSet((3, 1))
-
-
-class TestCenter:
-    def test_constant_column_becomes_zero(self):
-        x = series([[3.0, 1.0], [3.0, 2.0], [3.0, 3.0]])
-        c = center(x)
-        assert np.all(c.values[:, 0] == 0.0)
-
-    def test_idempotent(self):
-        rng = np.random.default_rng(0)
-        x = series(rng.standard_normal((50, 3)))
-        once = center(x)
-        twice = center(once)
-        assert np.abs(once.values - twice.values).max() <= 1e-12
-
-    def test_removes_known_means(self):
-        rng = np.random.default_rng(1)
-        v = rng.standard_normal((200, 2)) + np.array([1.5, -2.0])
-        c = center(series(v))
-        sd = c.values.std(axis=0)
-        assert np.all(np.abs(c.values.mean(axis=0)) <= 1e-12 * sd)
 
 
 class TestSampleCov:

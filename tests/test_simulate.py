@@ -247,6 +247,19 @@ class TestTables:
         with pytest.raises(InvalidInputError):
             dimension_table(s, [200], ["amuse"], reps=0)
 
+    @pytest.mark.parametrize("alpha", [0.0, 1.5])
+    def test_alpha_validated_before_the_pool_starts(self, alpha, monkeypatch):
+        import sosdim.simulate
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("process pool started")
+
+        monkeypatch.setattr(sosdim.simulate, "ProcessPoolExecutor", refuse)
+        s = make_setting("H1")
+        with pytest.raises(InvalidInputError, match="alpha"):
+            rejection_table(s, [200], ["amuse"], q=3, alpha=alpha, reps=2,
+                            n_jobs=2)
+
     def test_unknown_method_rejected(self):
         s = make_setting("H1")
         with pytest.raises(InvalidInputError):
