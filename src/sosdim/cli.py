@@ -59,6 +59,10 @@ def _add_data_flags(sub):
     sub.add_argument("--lags", default=None,
                      help="explicit comma-separated lag list, e.g. 1,2,3")
     sub.add_argument("--method", choices=("amuse", "sobi"), default=None)
+    _add_test_flags(sub)
+
+
+def _add_test_flags(sub):
     sub.add_argument("--alpha", type=float, default=0.05)
     sub.add_argument("--test-kind", choices=("asymptotic", "bootstrap"),
                      default="asymptotic")
@@ -91,11 +95,8 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--methods", default="amuse,sobi6,sobi12",
                      help="comma-separated estimator presets")
     sim.add_argument("--method", default=None, help="single estimator preset")
-    sim.add_argument("--alpha", type=float, default=0.05)
+    _add_test_flags(sim)
     sim.add_argument("--strategy", choices=STRATEGIES, default="divide_and_conquer")
-    sim.add_argument("--test-kind", choices=("asymptotic", "bootstrap"),
-                     default="asymptotic")
-    sim.add_argument("-B", "--bootstrap-reps", type=int, default=200)
     sim.add_argument("--threads", type=int, default=os.cpu_count(),
                      help="replicate pool size; results are thread-count independent")
     _add_common(sim)
@@ -231,8 +232,7 @@ def cmd_simulate(args) -> int:
         )
     elapsed = time.perf_counter() - start
     if args.format == "json":
-        _emit(json.dumps(table.to_dict(), indent=2, sort_keys=True) + "\n",
-              args.output)
+        _emit_json(table.to_dict(), args.output)
     else:
         _emit(table.to_csv(), args.output)
     for method, seconds in table.timings.items():

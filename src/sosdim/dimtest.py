@@ -159,6 +159,17 @@ def bootstrap_noise_test(
     return replace(ts, p_value=_bootstrap_p(z, fit.lags, ts, b_reps, seed))
 
 
+def _check_test_args(alpha: float, test_kind: str, b_reps: int) -> None:
+    """Reject an alpha outside (0, 1), an unknown test kind and a bootstrap
+    of fewer than one replicate."""
+    if not 0.0 < alpha < 1.0:
+        raise InvalidInputError(f"alpha must be in (0, 1), got {alpha}")
+    if test_kind not in ("asymptotic", "bootstrap"):
+        raise InvalidInputError(f"unknown test kind: {test_kind!r}")
+    if test_kind == "bootstrap" and b_reps < 1:
+        raise InvalidInputError("bootstrap replicate count must be >= 1")
+
+
 def _is_monotone(p_values: dict, alpha: float) -> bool:
     """True if, sorted by q, rejections form a prefix and acceptances a suffix."""
     seen_accept = False
@@ -212,12 +223,9 @@ def estimate_dimension_from_fit(
     estimate_dimension; the bootstrap resamples the sources on the energy
     basis of H.
     """
-    if not 0.0 < alpha < 1.0:
-        raise InvalidInputError(f"alpha must be in (0, 1), got {alpha}")
+    _check_test_args(alpha, test_kind, b_reps)
     if strategy not in STRATEGIES:
         raise InvalidInputError(f"unknown strategy: {strategy!r}")
-    if test_kind not in ("asymptotic", "bootstrap"):
-        raise InvalidInputError(f"unknown test kind: {test_kind!r}")
     if fit.p != x.p:
         raise InvalidInputError("fit and series dimensions disagree")
     u = _energy_basis(fit.H)[1]

@@ -1,15 +1,15 @@
 """Ordered symmetric eigendecomposition and orthogonal approximate joint
 diagonalization.
 
-The joint diagonalizer is a cyclic-by-rows Jacobi scheme: for every index
-pair (i < j) the closed-form Givens angle maximizing the summed squared
-diagonals of the 2x2 restrictions of all matrices is applied. Convergence
-is declared when the largest rotation angle of a sweep drops below tol.
+The joint diagonalizer is a Jacobi scheme in Brent-Luk round-robin order. A
+round rotates p // 2 disjoint index pairs at once, each by the closed-form
+angle maximizing the summed squared diagonals of its 2x2 restrictions of all
+matrices; the rounds of a sweep cover every pair once. Convergence is
+declared when the largest rotation angle of a sweep drops below tol.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -63,6 +63,18 @@ def _as_stack(h) -> np.ndarray:
     return a
 
 
+def _round_robin(p: int) -> list:
+    """Brent-Luk rounds for indices 0..p-1: (i, j) index arrays, i < j, whose
+    pairs are disjoint within a round and cover every pair once in all."""
+    m = p + p % 2  # an odd p pairs one index per round with the idle slot p
+    order, rounds = list(range(m)), []
+    for _ in range(m - 1):
+        pairs = np.sort(list(zip(order, reversed(order)))[: m // 2], axis=1)
+        rounds.append(pairs[pairs[:, 1] < p].T)
+        order.insert(1, order.pop())
+    return rounds
+
+
 def joint_diagonalize(h, tol: float = DEFAULT_TOL,
                       max_sweeps: int = DEFAULT_MAX_SWEEPS) -> JointDiagResult:
     """Jointly diagonalize a set of symmetric matrices by an orthogonal U.
@@ -78,46 +90,26 @@ def joint_diagonalize(h, tol: float = DEFAULT_TOL,
         raise InvalidInputError("tol must be positive")
     if max_sweeps < 1:
         raise InvalidInputError("max_sweeps must be >= 1")
-    a = _as_stack(h)
-    original = a.copy()
-    k, p, _ = a.shape
+    a = original = _as_stack(h)
+    p = a.shape[1]
     u = np.eye(p)
-    converged = False
-    sweeps = 0
-    if p == 1:
-        converged = True
-        sweeps = 1
-    for _ in range(max_sweeps):
+    rounds = _round_robin(p)
+    for sweeps in range(1, max_sweeps + 1):
+        max_angle = 0.0
+        for i, j in rounds:
+            d = a[:, i, i] - a[:, j, j]
+            o = a[:, i, j] + a[:, j, i]
+            ton, toff = (d * d - o * o).sum(axis=0), 2.0 * (d * o).sum(axis=0)
+            theta = 0.5 * np.arctan2(toff, ton + np.hypot(ton, toff))
+            max_angle = max(max_angle, float(np.abs(theta).max(initial=0.0)))
+            g = np.eye(p)
+            g[i, i] = g[j, j] = np.cos(theta)
+            g[i, j], g[j, i] = -np.sin(theta), np.sin(theta)
+            a = g.T @ a @ g
+            u = u @ g
+        converged = max_angle < tol
         if converged:
             break
-        sweeps += 1
-        max_angle = 0.0
-        for i in range(p - 1):
-            for j in range(i + 1, p):
-                d = a[:, i, i] - a[:, j, j]
-                o = a[:, i, j] + a[:, j, i]
-                ton = d @ d - o @ o
-                toff = 2.0 * (d @ o)
-                theta = 0.5 * math.atan2(toff, ton + math.hypot(ton, toff))
-                max_angle = max(max_angle, abs(theta))
-                s = math.sin(theta)
-                if s == 0.0:
-                    continue
-                c = math.cos(theta)
-                ai = a[:, :, i].copy()
-                aj = a[:, :, j].copy()
-                a[:, :, i] = c * ai + s * aj
-                a[:, :, j] = -s * ai + c * aj
-                ri = a[:, i, :].copy()
-                rj = a[:, j, :].copy()
-                a[:, i, :] = c * ri + s * rj
-                a[:, j, :] = -s * ri + c * rj
-                ui = u[:, i].copy()
-                uj = u[:, j].copy()
-                u[:, i] = c * ui + s * uj
-                u[:, j] = -s * ui + c * uj
-        if max_angle < tol:
-            converged = True
     u = _fix_column_signs(u)
     # Recompute from the pristine inputs so the profiles are exact.
     rotated = np.einsum("mi,kmn,nj->kij", u, original, u)

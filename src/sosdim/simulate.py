@@ -19,7 +19,8 @@ from scipy.signal import lfilter
 
 from . import presets
 from .bss import LAG_PRESETS
-from .dimtest import bootstrap_noise_test, estimate_dimension, noise_test
+from .dimtest import (STRATEGIES, _check_test_args, bootstrap_noise_test,
+                      estimate_dimension, noise_test)
 from .errors import InvalidInputError
 from .series import LagSet, MultiSeries
 
@@ -329,6 +330,8 @@ def _cells(rep_fn, setting, n_list, methods, reps, seed, extra, n_jobs):
         raise InvalidInputError("reps must be >= 1")
     n_list = tuple(int(n) for n in n_list)
     methods = tuple(methods)
+    for method in methods:
+        _method_lags(method)
     out = np.zeros((len(n_list), len(methods), reps))
     timings = {}
     parallel = bool(n_jobs and n_jobs > 1)
@@ -358,8 +361,9 @@ def rejection_table(
     n_jobs: int = 1,
 ) -> FrequencyTable:
     """Fraction of replicates rejecting H_{0q} per (n, method) cell."""
-    if not 0.0 < alpha < 1.0:
-        raise InvalidInputError(f"alpha must be in (0, 1), got {alpha}")
+    _check_test_args(alpha, test_kind, b_reps)
+    if not 0 <= q <= setting.p - 1:
+        raise InvalidInputError(f"q must be in [0, {setting.p - 1}], got {q}")
     n_list, methods, out, timings = _cells(
         _rejection_rep, setting, n_list, methods, reps, seed,
         (q, alpha, test_kind, b_reps), n_jobs)
@@ -379,6 +383,9 @@ def dimension_table(
     n_jobs: int = 1,
 ) -> DimensionTable:
     """Empirical distribution of the estimated dimension per (n, method)."""
+    _check_test_args(alpha, estimator_kind, b_reps)
+    if strategy not in STRATEGIES:
+        raise InvalidInputError(f"unknown strategy: {strategy!r}")
     n_list, methods, out, timings = _cells(
         _dimension_rep, setting, n_list, methods, reps, seed,
         (alpha, strategy, estimator_kind, b_reps), n_jobs)

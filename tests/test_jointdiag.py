@@ -13,7 +13,7 @@ from sosdim import (
     sym_inv_sqrt,
     symmetrize,
 )
-from sosdim.jointdiag import _ordered_eigh
+from sosdim.jointdiag import _ordered_eigh, _round_robin
 
 
 def random_orthogonal(p, seed):
@@ -78,22 +78,34 @@ class TestJointDiagonalize:
     def test_already_diagonal_fixed_point(self):
         mats = [np.diag([3.0, 2.0, 1.0]), np.diag([1.0, 5.0, 2.0])]
         res = joint_diagonalize(mats)
-        assert res.converged
+        assert res.converged is True
         assert res.sweeps_used == 1
         assert np.allclose(np.abs(res.U), np.eye(3), atol=1e-12)
 
-    def test_recovers_common_rotation(self):
-        q = random_orthogonal(5, 1)
-        d1 = np.diag([5.0, 4.0, 3.0, 2.0, 1.0])
-        d2 = np.diag([1.0, 3.0, 5.0, 2.0, 4.0])
+    @pytest.mark.parametrize("p", [2, 3, 5, 6])
+    def test_recovers_common_rotation(self, p):
+        # Odd p leaves one index idle in every round; even p does not.
+        q = random_orthogonal(p, 1)
+        d1 = np.diag(np.arange(p, 0, -1.0))
+        d2 = np.diag(2.0 * np.arange(p) % p + 1.0)  # p = 5: 1, 3, 5, 2, 4
         mats = [q @ d1 @ q.T, q @ d2 @ q.T]
         res = joint_diagonalize(mats)
         assert res.converged
         assert off_mass(res.U, mats) <= 1e-10
         prod = np.abs(res.U.T @ q)
         perm = np.zeros_like(prod)
-        perm[np.argmax(prod, axis=0), np.arange(5)] = 1.0
+        perm[np.argmax(prod, axis=0), np.arange(p)] = 1.0
         assert np.abs(prod - perm).max() <= 1e-8
+
+    @pytest.mark.parametrize("p", range(1, 10))
+    def test_round_robin_covers_every_pair_once(self, p):
+        rounds = _round_robin(p)
+        assert len(rounds) == p - 1 + p % 2
+        seen = []
+        for i, j in rounds:
+            assert len(set(i) | set(j)) == 2 * len(i)  # disjoint pairs
+            seen += zip(i.tolist(), j.tolist())
+        assert sorted(seen) == [(i, j) for i in range(p) for j in range(i + 1, p)]
 
     def test_single_matrix_matches_eigendecomposition(self):
         rng = np.random.default_rng(2)
@@ -155,7 +167,7 @@ class TestJointDiagonalize:
         mats = [(lambda a: (a + a.T) / 2)(rng.standard_normal((6, 6)))
                 for _ in range(4)]
         res = joint_diagonalize(mats, tol=1e-15, max_sweeps=1)
-        assert not res.converged
+        assert res.converged is False
         assert res.sweeps_used == 1
 
     def test_input_validation(self):

@@ -247,8 +247,31 @@ class TestTables:
         with pytest.raises(InvalidInputError):
             dimension_table(s, [200], ["amuse"], reps=0)
 
-    @pytest.mark.parametrize("alpha", [0.0, 1.5])
-    def test_alpha_validated_before_the_pool_starts(self, alpha, monkeypatch):
+    @pytest.mark.parametrize("table, bad, match", [
+        pytest.param("rejection", {"alpha": 0.0}, "alpha", id="0.0"),
+        pytest.param("rejection", {"alpha": 1.5}, "alpha", id="1.5"),
+        pytest.param("dimension", {"alpha": 1.5}, "alpha", id="dimension-alpha"),
+        pytest.param("rejection", {"test_kind": "bogus"}, "test kind",
+                     id="rejection-kind"),
+        pytest.param("dimension", {"estimator_kind": "bogus"}, "test kind",
+                     id="dimension-kind"),
+        pytest.param("dimension", {"strategy": "bogus"}, "strategy",
+                     id="dimension-strategy"),
+        pytest.param("rejection", {"methods": ["jade"]}, "preset",
+                     id="rejection-method"),
+        pytest.param("dimension", {"methods": ["amuse", "jade"]}, "preset",
+                     id="dimension-method"),
+        pytest.param("rejection", {"q": 5}, "q must", id="rejection-q-high"),
+        pytest.param("rejection", {"q": -1}, "q must", id="rejection-q-low"),
+        pytest.param("rejection", {"test_kind": "bootstrap", "b_reps": 0},
+                     "replicate", id="rejection-b-reps"),
+        pytest.param("dimension", {"estimator_kind": "bootstrap", "b_reps": 0},
+                     "replicate", id="dimension-b-reps"),
+    ])
+    def test_alpha_validated_before_the_pool_starts(self, table, bad, match,
+                                                    monkeypatch):
+        # Every table argument, alpha included, is checked at the table's
+        # entry: a bad one never reaches a worker.
         import sosdim.simulate
 
         def refuse(*args, **kwargs):
@@ -256,9 +279,12 @@ class TestTables:
 
         monkeypatch.setattr(sosdim.simulate, "ProcessPoolExecutor", refuse)
         s = make_setting("H1")
-        with pytest.raises(InvalidInputError, match="alpha"):
-            rejection_table(s, [200], ["amuse"], q=3, alpha=alpha, reps=2,
-                            n_jobs=2)
+        args = {"methods": ["amuse"], "reps": 2, "n_jobs": 2, **bad}
+        with pytest.raises(InvalidInputError, match=match):
+            if table == "rejection":
+                rejection_table(s, [200], q=args.pop("q", 3), **args)
+            else:
+                dimension_table(s, [200], **args)
 
     def test_unknown_method_rejected(self):
         s = make_setting("H1")
