@@ -35,13 +35,19 @@ SEED_ENV_VAR = "SOSDIM_SEED"
 
 
 def _seed(args) -> int:
-    """--seed, else $SOSDIM_SEED, else 0."""
-    text = os.environ.get(SEED_ENV_VAR, "0") if args.seed is None else args.seed
+    """--seed, else $SOSDIM_SEED, else 0; a non-negative integer, as numpy
+    seeds must be."""
+    if args.seed is None:
+        name, text = SEED_ENV_VAR, os.environ.get(SEED_ENV_VAR, "0")
+    else:
+        name, text = "--seed", args.seed
     try:
-        return int(text)
+        seed = int(text)
     except ValueError:
-        raise InvalidInputError(
-            f"{SEED_ENV_VAR} must be an integer, got {text!r}") from None
+        raise InvalidInputError(f"{name} must be an integer, got {text!r}") from None
+    if seed < 0:
+        raise InvalidInputError(f"{name} must be >= 0, got {seed}")
+    return seed
 
 
 def _add_common(sub):

@@ -17,8 +17,9 @@ The tests read only a fit's H, so any fit of the same data and lags gives
 the same tests. All q come from the one stack G_tau = W^T H_tau W of the
 full energy basis W: the noise block of q is the trailing (p - q) x
 (p - q) block of every G_tau, so suffix sums of sum_tau G_tau^2 give
-every statistic in one pass (all_q_tests). The p-values are scipy's
-chi-square tail (scipy.special.chdtrc). A bootstrap replicate resamples
+every statistic in one pass (_chi2_tests, which all_q_tests and the
+simulation tables share). The p-values are scipy's chi-square tail
+(scipy.special.chdtrc). A bootstrap replicate resamples
 the trailing sources on the energy basis and needs only its own stack:
 whitening removes any mixing up to a rotation, and the replicate's own
 energy basis removes the rotation.
@@ -80,21 +81,29 @@ def all_q_tests(fit: UnmixingResult, T: int) -> tuple:
     basis, so the tests read H alone: a SOBI fit and energy_unmix of the
     same data give the same tests.
     """
-    return _tests(fit, T, _energy_basis(fit.H)[1])
+    return _tests(fit, T)[1]
 
 
-def _tests(fit: UnmixingResult, T: int, u: np.ndarray) -> tuple:
-    """all_q_tests(fit, T), given the energy basis u of fit.H."""
-    k = len(fit.lags)
-    m_hat = _m_hat(fit.H, u)
-    r = fit.p - np.arange(fit.p)
+def _chi2_tests(h: np.ndarray, T: int):
+    """(u, m_hat, stat, df, p_value) of every q from the whitened stack h
+    of a length-T series: u is its energy basis and the rest are arrays
+    indexed by q. The one place the statistic is scaled to chi-square."""
+    u = _energy_basis(h)[1]
+    k, p = h.shape[:2]
+    m_hat = _m_hat(h, u)
+    r = p - np.arange(p)
     stat = T * k * r * r * m_hat
     df = k * r * (r + 1) // 2
-    p_value = chdtrc(df, stat)
-    return tuple(
+    return u, m_hat, stat, df, chdtrc(df, stat)
+
+
+def _tests(fit: UnmixingResult, T: int):
+    """(u, all_q_tests(fit, T)), where u is the energy basis of fit.H."""
+    u, m_hat, stat, df, p_value = _chi2_tests(fit.H, T)
+    return u, tuple(
         TestResult(
             q=q,
-            r=int(r[q]),
+            r=fit.p - q,
             m_hat=float(m_hat[q]),
             scaled_stat=float(stat[q]),
             df=int(df[q]),
@@ -228,8 +237,8 @@ def estimate_dimension_from_fit(
         raise InvalidInputError(f"unknown strategy: {strategy!r}")
     if fit.p != x.p:
         raise InvalidInputError("fit and series dimensions disagree")
-    u = _energy_basis(fit.H)[1]
-    tests = list(_tests(fit, x.T, u))
+    u, tests = _tests(fit, x.T)
+    tests = list(tests)
     # The bootstrap resamples the sources on the energy basis u of H.
     z = (estimated_sources(x, fit).values @ (fit.U.T @ u)
          if test_kind == "bootstrap" else None)

@@ -4,6 +4,15 @@ All randomness flows through numpy SeedSequence entropy lists, so a table
 regenerated with the same master seed is bit-identical regardless of the
 worker count: replicate (n, rep) always draws from entropy
 [master_seed, n, rep].
+
+A table draws each replicate once for all of its methods. The asymptotic
+tests then whiten that draw once, into the stack of the union of the
+methods' lags, and each method reads the all-q p-values of its own rows:
+standardized_autocovs whitens every lag with the same S0^{-1/2}, so the
+rows hold exactly the numbers a stack of the method's lags alone would.
+The bootstrap shares the draw only: it fits each method, evaluates only
+the q its table needs and seeds its resampling from [master_seed, n, rep,
+1] (rejection) or [master_seed, n, rep, 2] (dimension).
 """
 
 from __future__ import annotations
@@ -11,18 +20,18 @@ from __future__ import annotations
 import time
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
-from functools import partial
 from dataclasses import dataclass, field
+from functools import lru_cache, partial
 
 import numpy as np
 from scipy.signal import lfilter
 
 from . import presets
 from .bss import LAG_PRESETS
-from .dimtest import (STRATEGIES, _check_test_args, bootstrap_noise_test,
-                      estimate_dimension, noise_test)
-from .errors import InvalidInputError
-from .series import LagSet, MultiSeries
+from .dimtest import (STRATEGIES, _check_test_args, _chi2_tests, _select_dimension,
+                      bootstrap_noise_test, estimate_dimension)
+from .errors import InvalidInputError, LagTooLargeError
+from .series import LagSet, MultiSeries, standardized_autocovs
 
 _MAX_MIX_CONDITION = 1e8
 _PSI_TERMS = 4096
@@ -77,8 +86,10 @@ def psi_weights(spec: ProcessSpec) -> np.ndarray:
     return lfilter([1.0, *spec.ma], [1.0, *(-a for a in spec.ar)], impulse)
 
 
+@lru_cache
 def theoretical_variance(spec: ProcessSpec) -> float:
-    """Process variance under unit innovation variance."""
+    """Process variance under unit innovation variance, computed once per
+    spec."""
     psi = psi_weights(spec)
     return float(psi @ psi)
 
@@ -228,12 +239,17 @@ def simulate_setting(setting: SimSetting, n: int, seed):
 
 @dataclass
 class FrequencyTable:
-    """Rejection frequencies: rows = sample sizes, columns = methods."""
+    """Rejection frequencies: rows = sample sizes, columns = methods.
+
+    timings maps each method to the table's wall-clock seconds, from
+    opening the process pool to closing it: the methods share every draw,
+    so no method has a time of its own.
+    """
 
     rows: tuple  # n values
     cols: tuple  # method labels
     values: np.ndarray  # len(rows) x len(cols)
-    timings: dict = field(default_factory=dict)  # method -> seconds
+    timings: dict = field(default_factory=dict)  # method -> table seconds
 
     def to_csv(self) -> str:
         lines = ["n," + ",".join(self.cols)]
@@ -254,13 +270,17 @@ class FrequencyTable:
 
 @dataclass
 class DimensionTable:
-    """Empirical distribution of the estimated dimension per (n, method)."""
+    """Empirical distribution of the estimated dimension per (n, method).
+
+    timings is as in FrequencyTable: the table's wall-clock seconds under
+    each method's key.
+    """
 
     rows: tuple  # n values
     cols: tuple  # method labels
     p: int
     freq: np.ndarray  # len(rows) x len(cols) x (p + 1)
-    timings: dict = field(default_factory=dict)
+    timings: dict = field(default_factory=dict)  # method -> table seconds
 
     def to_csv(self) -> str:
         lines = ["n,method,d_hat,frequency"]
@@ -290,62 +310,77 @@ def _method_lags(method: str):
     return LagSet(LAG_PRESETS[method]), kind
 
 
-def _rejection_rep(args):
-    setting, n, rep, seed, method, q, alpha, test_kind, b_reps = args
-    x, _, _ = simulate_setting(setting, n, [seed, n, rep])
-    lags, kind = _method_lags(method)
-    if test_kind == "asymptotic":
-        ts = noise_test(x, lags, q, kind)
-    else:
-        ts = bootstrap_noise_test(x, lags, q, kind, b_reps, seed=[seed, n, rep, 1])
-    return float(ts.p_value < alpha)
+def _rejection_entry(p_values, x, lags, kind, entropy, q, alpha, b_reps):
+    """1.0 if the test of q rejects at level alpha, else 0.0."""
+    p = (p_values[q] if p_values is not None else bootstrap_noise_test(
+        x, lags, q, kind, b_reps, seed=[*entropy, 1]).p_value)
+    return float(p < alpha)
 
 
-def _dimension_rep(args):
-    setting, n, rep, seed, method, alpha, strategy, test_kind, b_reps = args
-    x, _, _ = simulate_setting(setting, n, [seed, n, rep])
-    lags, kind = _method_lags(method)
-    est = estimate_dimension(
-        x,
-        lags,
-        alpha=alpha,
-        strategy=strategy,
-        method=kind,
-        test_kind=test_kind,
-        b_reps=b_reps,
-        seed=[seed, n, rep, 2],
-    )
-    return est.d_hat
+def _dimension_entry(p_values, x, lags, kind, entropy, alpha, strategy, b_reps):
+    """The estimated dimension under the strategy."""
+    if p_values is None:
+        return estimate_dimension(
+            x, lags, alpha=alpha, strategy=strategy, method=kind,
+            test_kind="bootstrap", b_reps=b_reps, seed=[*entropy, 2]).d_hat
+    return _select_dimension(p_values.__getitem__, len(p_values), alpha,
+                             strategy)[0]
 
 
-def _cells(rep_fn, setting, n_list, methods, reps, seed, extra, n_jobs):
-    """rep_fn over every replicate of every (n, method) cell.
+def _replicate(args):
+    """entry(p_values, x, lags, kind, entropy) of every method on the draw
+    of replicate (n, rep), from entropy [seed, n, rep].
 
-    Returns n_list and methods as tuples, a len(n_list) x len(methods) x
-    reps array of rep_fn's results and the wall-clock seconds per method.
-    One process pool serves the whole table; replicate (n, rep) draws from
-    entropy [seed, n, rep] whichever worker runs it.
+    p_values is the method's all-q vector of asymptotic p-values, read from
+    its rows of one stack over the union of the methods' lags, or None for
+    the bootstrap, which fits each method on the draw.
+    """
+    setting, n, rep, seed, methods, union, test_kind, entry = args
+    entropy = [seed, n, rep]
+    x = simulate_setting(setting, n, entropy)[0]
+    h = (standardized_autocovs(x, union)[1] if test_kind == "asymptotic"
+         else None)
+    out = []
+    for method in methods:
+        lags, kind = _method_lags(method)
+        p_values = None
+        if h is not None:
+            rows = np.searchsorted(union.lags, lags.lags)
+            p_values = _chi2_tests(h[rows], x.T)[4]
+        out.append(entry(p_values, x, lags, kind, entropy))
+    return out
+
+
+def _cells(setting, n_list, methods, reps, seed, test_kind, entry, n_jobs):
+    """Every method's entry on every replicate (n, rep).
+
+    Returns n_list and methods as tuples, a len(n_list) x reps x
+    len(methods) array of the entries and the table's wall-clock seconds
+    under each method's key. One process pool serves the whole table; replicate
+    (n, rep) draws from entropy [seed, n, rep] whichever worker runs it.
     """
     if reps < 1:
         raise InvalidInputError("reps must be >= 1")
+    if seed < 0:
+        raise InvalidInputError(f"seed must be >= 0, got {seed}")
     n_list = tuple(int(n) for n in n_list)
     methods = tuple(methods)
-    for method in methods:
-        _method_lags(method)
-    out = np.zeros((len(n_list), len(methods), reps))
-    timings = {}
+    union = LagSet(tuple(sorted({t for m in methods for t in _method_lags(m)[0]})))
+    for n in n_list:
+        if union.max >= n:
+            raise LagTooLargeError(
+                f"max lag {union.max} must be smaller than series length {n}")
+    tasks = [(setting, n, rep, seed, methods, union, test_kind, entry)
+             for n in n_list for rep in range(reps)]
     parallel = bool(n_jobs and n_jobs > 1)
+    start = time.perf_counter()
     with ProcessPoolExecutor(n_jobs) if parallel else nullcontext() as pool:
         chunk = max(1, reps // (4 * n_jobs)) if parallel else 1
         run = partial(pool.map, chunksize=chunk) if parallel else map
-        for j, method in enumerate(methods):
-            start = time.perf_counter()
-            for i, n in enumerate(n_list):
-                tasks = [(setting, n, rep, seed, method, *extra)
-                         for rep in range(reps)]
-                out[i, j] = list(run(rep_fn, tasks))
-            timings[method] = time.perf_counter() - start
-    return n_list, methods, out, timings
+        out = np.array(list(run(_replicate, tasks)), dtype=float)
+    elapsed = time.perf_counter() - start
+    out = out.reshape(len(n_list), reps, len(methods))
+    return n_list, methods, out, dict.fromkeys(methods, elapsed)
 
 
 def rejection_table(
@@ -365,9 +400,9 @@ def rejection_table(
     if not 0 <= q <= setting.p - 1:
         raise InvalidInputError(f"q must be in [0, {setting.p - 1}], got {q}")
     n_list, methods, out, timings = _cells(
-        _rejection_rep, setting, n_list, methods, reps, seed,
-        (q, alpha, test_kind, b_reps), n_jobs)
-    return FrequencyTable(n_list, methods, out.mean(axis=2), timings)
+        setting, n_list, methods, reps, seed, test_kind,
+        partial(_rejection_entry, q=q, alpha=alpha, b_reps=b_reps), n_jobs)
+    return FrequencyTable(n_list, methods, out.mean(axis=1), timings)
 
 
 def dimension_table(
@@ -387,9 +422,10 @@ def dimension_table(
     if strategy not in STRATEGIES:
         raise InvalidInputError(f"unknown strategy: {strategy!r}")
     n_list, methods, out, timings = _cells(
-        _dimension_rep, setting, n_list, methods, reps, seed,
-        (alpha, strategy, estimator_kind, b_reps), n_jobs)
+        setting, n_list, methods, reps, seed, estimator_kind,
+        partial(_dimension_entry, alpha=alpha, strategy=strategy,
+                b_reps=b_reps), n_jobs)
     p = setting.p
     hits = np.minimum(out, p)[..., None] == np.arange(p + 1)
-    freq = hits.sum(axis=2) / reps
+    freq = hits.sum(axis=1) / reps
     return DimensionTable(n_list, methods, p, freq, timings)

@@ -117,6 +117,20 @@ class TestEstimate:
         assert out == ""
         assert SEED_ENV_VAR in err and "'seven'" in err
 
+    @pytest.mark.parametrize("where", ["flag", "env"])
+    def test_negative_seed_is_an_input_error(self, noise_csv, capsys,
+                                             monkeypatch, where):
+        argv = ["estimate", "--input", noise_csv, "--test-kind", "bootstrap",
+                "-B", "5"]
+        if where == "flag":
+            argv += ["--seed", "-1"]
+        else:
+            monkeypatch.setenv(SEED_ENV_VAR, "-1")
+        code, out, err = run(argv, capsys)
+        assert code == EXIT_INPUT
+        assert out == ""
+        assert ("--seed" if where == "flag" else SEED_ENV_VAR) in err
+
     def test_missing_file(self, capsys):
         code, _, err = run(["estimate", "--input", "/no/such/file.csv"], capsys)
         assert code == EXIT_INPUT

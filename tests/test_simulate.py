@@ -267,6 +267,18 @@ class TestTables:
                      "replicate", id="rejection-b-reps"),
         pytest.param("dimension", {"estimator_kind": "bootstrap", "b_reps": 0},
                      "replicate", id="dimension-b-reps"),
+        pytest.param("rejection", {"seed": -1}, "seed", id="rejection-seed"),
+        pytest.param("dimension", {"seed": -1}, "seed", id="dimension-seed"),
+        pytest.param("rejection", {"methods": ["amuse", "sobi12"], "n_list": [10]},
+                     "max lag 12 must be smaller than series length 10",
+                     id="rejection-n-below-lag"),
+        pytest.param("dimension", {"methods": ["sobi12"], "n_list": [500, 10]},
+                     "max lag 12 must be smaller than series length 10",
+                     id="dimension-n-below-lag"),
+        pytest.param("rejection", {"n_list": [0]}, "series length 0",
+                     id="rejection-n-zero"),
+        pytest.param("dimension", {"n_list": [0]}, "series length 0",
+                     id="dimension-n-zero"),
     ])
     def test_alpha_validated_before_the_pool_starts(self, table, bad, match,
                                                     monkeypatch):
@@ -280,11 +292,36 @@ class TestTables:
         monkeypatch.setattr(sosdim.simulate, "ProcessPoolExecutor", refuse)
         s = make_setting("H1")
         args = {"methods": ["amuse"], "reps": 2, "n_jobs": 2, **bad}
+        n_list = args.pop("n_list", [200])
         with pytest.raises(InvalidInputError, match=match):
             if table == "rejection":
-                rejection_table(s, [200], q=args.pop("q", 3), **args)
+                rejection_table(s, n_list, q=args.pop("q", 3), **args)
             else:
-                dimension_table(s, [200], **args)
+                dimension_table(s, n_list, **args)
+
+    @pytest.mark.parametrize("test_kind", ["asymptotic", "bootstrap"])
+    @pytest.mark.parametrize("methods", [("amuse", "sobi6", "sobi12"),
+                                         ("sobi12", "amuse")],
+                             ids=["presets", "sobi12-amuse"])
+    def test_shared_draw_matches_one_method_tables(self, methods, test_kind):
+        # A multi-method table draws each replicate once and reads every
+        # method from one stack over the union of their lags; each column
+        # must equal the table of that method alone.
+        s = make_setting("H1")
+        common = {"reps": 3 if test_kind == "bootstrap" else 8, "seed": 21,
+                  "b_reps": 9}
+        n_list = [150, 300]
+        rej = rejection_table(s, n_list, methods, q=3, test_kind=test_kind,
+                              **common)
+        dim = dimension_table(s, n_list, methods, estimator_kind=test_kind,
+                              **common)
+        for j, method in enumerate(methods):
+            one_rej = rejection_table(s, n_list, [method], q=3,
+                                      test_kind=test_kind, **common)
+            one_dim = dimension_table(s, n_list, [method],
+                                      estimator_kind=test_kind, **common)
+            assert np.array_equal(rej.values[:, j], one_rej.values[:, 0])
+            assert np.array_equal(dim.freq[:, j], one_dim.freq[:, 0])
 
     def test_unknown_method_rejected(self):
         s = make_setting("H1")
