@@ -95,16 +95,23 @@ def sobi(x: MultiSeries, lags) -> UnmixingResult:
     )
 
 
-def energy_unmix(x: MultiSeries, lags, method: str) -> UnmixingResult:
-    """The fit of x on the energy basis of its stack (see _energy_basis).
-    For "sobi" that basis replaces the joint diagonalizer's rotation, so
-    the diagonalizer is not run and the fit reports converged."""
+def _whitened(x: MultiSeries, lags, method: str):
+    """(lags as a LagSet, whitener S0^{-1/2}, stack H) of x for a method,
+    "amuse" with one lag or "sobi": what energy_unmix and the white-noise
+    tests start from."""
     lags = LagSet(tuple(lags))
     if method not in ("amuse", "sobi"):
         raise InvalidInputError(f"unknown method: {method!r}")
     if method == "amuse" and len(lags) != 1:
         raise InvalidInputError("amuse requires exactly one lag")
-    m, h = standardized_autocovs(x, lags)
+    return (lags, *standardized_autocovs(x, lags))
+
+
+def energy_unmix(x: MultiSeries, lags, method: str) -> UnmixingResult:
+    """The fit of x on the energy basis of its stack (see _energy_basis).
+    For "sobi" that basis replaces the joint diagonalizer's rotation, so
+    the diagonalizer is not run and the fit reports converged."""
+    lags, m, h = _whitened(x, lags, method)
     energy, u = _energy_basis(h)
     return UnmixingResult(
         gamma=u.T @ m,
@@ -118,7 +125,8 @@ def energy_unmix(x: MultiSeries, lags, method: str) -> UnmixingResult:
 
 
 def unmix(x: MultiSeries, lags, method: str) -> UnmixingResult:
-    """Dispatch to amuse (singleton lag set) or sobi."""
+    """sobi for "sobi"; any other method goes to energy_unmix, which
+    accepts "amuse" with exactly one lag and rejects everything else."""
     if method == "sobi":
         return sobi(x, lags)
     return energy_unmix(x, lags, method)

@@ -100,7 +100,6 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--reps", type=int, required=True)
     sim.add_argument("--methods", default="amuse,sobi6,sobi12",
                      help="comma-separated estimator presets")
-    sim.add_argument("--method", default=None, help="single estimator preset")
     _add_test_flags(sim)
     sim.add_argument("--strategy", choices=STRATEGIES, default="divide_and_conquer")
     sim.add_argument("--threads", type=int, default=os.cpu_count(),
@@ -216,7 +215,7 @@ def cmd_simulate(args) -> int:
         n_list = tuple(int(n) for n in args.n.split(","))
     except ValueError:
         raise InvalidInputError(f"bad sample-size list: {args.n!r}") from None
-    methods = (args.method,) if args.method else tuple(args.methods.split(","))
+    methods = tuple(args.methods.split(","))
     setting = make_setting(args.setting)
     seed = _seed(args)
     start = time.perf_counter()

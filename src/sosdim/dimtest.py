@@ -13,26 +13,28 @@ adapts to a block of white noise and would make every q above the true
 signal count reject too often; the tests therefore never run the
 diagonalizer.
 
-The tests read only a fit's H, so any fit of the same data and lags gives
-the same tests. All q come from the one stack G_tau = W^T H_tau W of the
-full energy basis W: the noise block of q is the trailing (p - q) x
-(p - q) block of every G_tau, so suffix sums of sum_tau G_tau^2 give
-every statistic in one pass (_chi2_tests, which all_q_tests and the
-simulation tables share). The p-values are scipy's chi-square tail
-(scipy.special.chdtrc). A bootstrap replicate resamples
-the trailing sources on the energy basis and needs only its own stack:
-whitening removes any mixing up to a rotation, and the replicate's own
-energy basis removes the rotation.
+Every p-value comes from one core that works from the series, its lags,
+its whitener S0^{-1/2} and its stack H, and returns numbers: _test_p for
+one q, _estimate for a strategy's sequence of q. The public functions and
+both kinds of simulation table call it; only the public functions build
+TestResult and DimensionEstimate. All q come from the one stack
+G_tau = W^T H_tau W of the full energy basis W: the noise block of q is
+the trailing (p - q) x (p - q) block of every G_tau, so suffix sums of
+sum_tau G_tau^2 give every statistic in one pass (_chi2_tests). The
+p-values are scipy's chi-square tail (scipy.special.chdtrc). A bootstrap
+replicate resamples the trailing columns of the sources (x - xbar) S0^{-1/2} W
+and needs only its own stack: whitening removes any mixing up to a
+rotation, and the replicate's own energy basis removes the rotation.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import chdtrc
 
-from .bss import UnmixingResult, _energy_basis, energy_unmix, estimated_sources
+from .bss import UnmixingResult, _energy_basis, _whitened
 from .errors import InvalidInputError
 from .series import LagSet, MultiSeries, standardized_autocovs
 
@@ -74,16 +76,6 @@ def _m_hat(h: np.ndarray, u: np.ndarray) -> np.ndarray:
     return tail / (len(h) * r * r)
 
 
-def all_q_tests(fit: UnmixingResult, T: int) -> tuple:
-    """Asymptotic tests of every q = 0, ..., p - 1, indexed by q.
-
-    Every statistic is a trailing block of the fit's stack H on its energy
-    basis, so the tests read H alone: a SOBI fit and energy_unmix of the
-    same data give the same tests.
-    """
-    return _tests(fit, T)[1]
-
-
 def _chi2_tests(h: np.ndarray, T: int):
     """(u, m_hat, stat, df, p_value) of every q from the whitened stack h
     of a length-T series: u is its energy basis and the rest are arrays
@@ -97,44 +89,30 @@ def _chi2_tests(h: np.ndarray, T: int):
     return u, m_hat, stat, df, chdtrc(df, stat)
 
 
-def _tests(fit: UnmixingResult, T: int):
-    """(u, all_q_tests(fit, T)), where u is the energy basis of fit.H."""
-    u, m_hat, stat, df, p_value = _chi2_tests(fit.H, T)
-    return u, tuple(
-        TestResult(
-            q=q,
-            r=fit.p - q,
-            m_hat=float(m_hat[q]),
-            scaled_stat=float(stat[q]),
-            df=int(df[q]),
-            p_value=float(p_value[q]),
-            lags=fit.lags,
-            method=fit.method,
-        )
-        for q in range(fit.p)
-    )
+def _result(tests, q: int, p_value, lags: LagSet, method: str) -> TestResult:
+    """The TestResult of q from the _chi2_tests arrays, with p_value."""
+    m_hat, stat, df = tests[1:4]
+    return TestResult(q=q, r=len(m_hat) - q, m_hat=float(m_hat[q]),
+                      scaled_stat=float(stat[q]), df=int(df[q]),
+                      p_value=float(p_value), lags=lags, method=method)
 
 
-def test_statistic(fit: UnmixingResult, q: int, T: int) -> TestResult:
-    """The asymptotic test of q on the fit's energy basis: all_q_tests(fit, T)[q]."""
-    q = int(q)
-    if not 0 <= q <= fit.p - 1:
-        raise InvalidInputError(f"q must be in [0, {fit.p - 1}], got {q}")
-    return all_q_tests(fit, T)[q]
-
-
-def noise_test(x: MultiSeries, lags, q: int, method: str = "sobi") -> TestResult:
-    """Asymptotic chi-square test of the null "p - q trailing sources are noise"."""
-    return test_statistic(energy_unmix(x, lags, method), q, x.T)
-
-
-def _bootstrap_p(z: np.ndarray, lags: LagSet, ts: TestResult, b_reps: int,
-                 seed) -> float:
-    """Bootstrap p-value of the asymptotic test ts, resampling the rows of
-    z[:, q:], where z holds the centred sources on the energy basis."""
+def _bootstrap_sources(x: MultiSeries, w: np.ndarray, u: np.ndarray,
+                       b_reps: int, seed) -> np.ndarray:
+    """The centred sources (x - xbar) @ (w @ u) on the energy basis u of
+    the stack whitened by w, which a bootstrap resamples. Fewer than one
+    replicate or a negative seed (or seed word) is an input error."""
     if b_reps < 1:
         raise InvalidInputError("bootstrap replicate count must be >= 1")
-    q = ts.q
+    if seed is not None and np.any(np.asarray(seed, dtype=object) < 0):
+        raise InvalidInputError(f"seed must be non-negative, got {seed!r}")
+    return (x.values - x.values.mean(axis=0)) @ (w @ u)
+
+
+def _bootstrap_p(z: np.ndarray, lags: LagSet, q: int, m_hat: float,
+                 b_reps: int, seed) -> float:
+    """Bootstrap p-value of the observed m_hat of q, resampling the rows of
+    z[:, q:], where z holds the _bootstrap_sources."""
     n = len(z)
     count = 0
     for child in np.random.SeedSequence(seed).spawn(b_reps):
@@ -142,9 +120,75 @@ def _bootstrap_p(z: np.ndarray, lags: LagSet, ts: TestResult, b_reps: int,
         z_star = z.copy()
         z_star[:, q:] = z[idx, q:]
         h = standardized_autocovs(MultiSeries(z_star), lags)[1]
-        if _m_hat(h, _energy_basis(h)[1])[q] >= ts.m_hat:
+        if _m_hat(h, _energy_basis(h)[1])[q] >= m_hat:
             count += 1
     return (1 + count) / (b_reps + 1)
+
+
+def _test_p(x: MultiSeries, lags: LagSet, w: np.ndarray, h: np.ndarray, q: int,
+            test_kind: str, b_reps: int, seed):
+    """(p-value of q, the _chi2_tests arrays of h), for the stack h of x
+    whitened by w: asymptotic, or the bootstrap of b_reps replicates seeded
+    by seed."""
+    tests = _chi2_tests(h, x.T)
+    if test_kind == "asymptotic":
+        return tests[4][q], tests
+    z = _bootstrap_sources(x, w, tests[0], b_reps, seed)
+    return _bootstrap_p(z, lags, q, tests[1][q], b_reps, seed), tests
+
+
+def _estimate(x: MultiSeries, lags: LagSet, w: np.ndarray, h: np.ndarray,
+              alpha: float, strategy: str, test_kind: str, b_reps: int, seed):
+    """(_select_dimension's (d_hat, {q: p}, monotone), the _chi2_tests arrays
+    of h), as _test_p; the bootstrap of q is seeded by [seed folded into one
+    word, q]."""
+    tests = _chi2_tests(h, x.T)
+    p_value = tests[4].__getitem__
+    if test_kind == "bootstrap":
+        z = _bootstrap_sources(x, w, tests[0], b_reps, seed)
+        word = _seed_int(seed)
+
+        def p_value(q: int) -> float:
+            return _bootstrap_p(z, lags, q, tests[1][q], b_reps, [word, q])
+
+    return _select_dimension(p_value, len(w), alpha, strategy), tests
+
+
+def _check_q(q: int, p: int) -> int:
+    q = int(q)
+    if not 0 <= q <= p - 1:
+        raise InvalidInputError(f"q must be in [0, {p - 1}], got {q}")
+    return q
+
+
+def all_q_tests(fit: UnmixingResult, T: int) -> tuple:
+    """Asymptotic tests of every q = 0, ..., p - 1, indexed by q.
+
+    Every statistic is a trailing block of the fit's stack H on its energy
+    basis, so the tests read H alone: a SOBI fit and energy_unmix of the
+    same data give the same tests.
+    """
+    tests = _chi2_tests(fit.H, T)
+    return tuple(_result(tests, q, tests[4][q], fit.lags, fit.method)
+                 for q in range(fit.p))
+
+
+def test_statistic(fit: UnmixingResult, q: int, T: int) -> TestResult:
+    """The asymptotic test of q on the fit's energy basis: all_q_tests(fit, T)[q]."""
+    q = _check_q(q, fit.p)
+    return all_q_tests(fit, T)[q]
+
+
+def _noise_test(x, lags, q, method, test_kind, b_reps=0, seed=None) -> TestResult:
+    lags, w, h = _whitened(x, lags, method)
+    q = _check_q(q, x.p)
+    p_value, tests = _test_p(x, lags, w, h, q, test_kind, b_reps, seed)
+    return _result(tests, q, p_value, lags, method)
+
+
+def noise_test(x: MultiSeries, lags, q: int, method: str = "sobi") -> TestResult:
+    """Asymptotic chi-square test of the null "p - q trailing sources are noise"."""
+    return _noise_test(x, lags, q, method, "asymptotic")
 
 
 def bootstrap_noise_test(
@@ -161,11 +205,7 @@ def bootstrap_noise_test(
 
     p-value uses the (1 + count) / (B + 1) convention.
     """
-    fit = energy_unmix(x, lags, method)
-    ts = test_statistic(fit, q, x.T)
-    # The sources of an energy fit already lie on the energy basis.
-    z = estimated_sources(x, fit).values
-    return replace(ts, p_value=_bootstrap_p(z, fit.lags, ts, b_reps, seed))
+    return _noise_test(x, lags, q, method, "bootstrap", b_reps, seed)
 
 
 def _check_test_args(alpha: float, test_kind: str, b_reps: int) -> None:
@@ -208,11 +248,9 @@ def estimate_dimension(
     rejection pattern is monotone in q; a violated pattern falls back to
     the forward rule over the evaluated trace.
     """
-    fit = energy_unmix(x, lags, method)
-    return estimate_dimension_from_fit(
-        x, fit, alpha=alpha, strategy=strategy, test_kind=test_kind,
-        b_reps=b_reps, seed=seed,
-    )
+    lags, w, h = _whitened(x, lags, method)
+    return _dimension_estimate(x, lags, w, h, method, alpha, strategy,
+                               test_kind, b_reps, seed)
 
 
 def estimate_dimension_from_fit(
@@ -228,45 +266,34 @@ def estimate_dimension_from_fit(
 
     Lets several strategies share one fit of the same data instead of
     re-estimating the unmixing per call. The tests read only the fit's H
-    (see all_q_tests), so a SOBI fit gives the same estimate as
-    estimate_dimension; the bootstrap resamples the sources on the energy
-    basis of H.
+    and its whitener U @ gamma = S0^{-1/2} (gamma = U^T S0^{-1/2} for
+    every fit), so a SOBI fit gives the same estimate as
+    estimate_dimension.
     """
+    return _dimension_estimate(x, fit.lags, fit.U @ fit.gamma, fit.H, fit.method,
+                               alpha, strategy, test_kind, b_reps, seed)
+
+
+def _dimension_estimate(x, lags, w, h, method, alpha, strategy, test_kind,
+                        b_reps, seed) -> DimensionEstimate:
     _check_test_args(alpha, test_kind, b_reps)
     if strategy not in STRATEGIES:
         raise InvalidInputError(f"unknown strategy: {strategy!r}")
-    if fit.p != x.p:
+    if len(w) != x.p:
         raise InvalidInputError("fit and series dimensions disagree")
-    u, tests = _tests(fit, x.T)
-    tests = list(tests)
-    # The bootstrap resamples the sources on the energy basis u of H.
-    z = (estimated_sources(x, fit).values @ (fit.U.T @ u)
-         if test_kind == "bootstrap" else None)
-
-    def p_value(q: int) -> float:
-        if z is not None:
-            tests[q] = replace(tests[q], p_value=_bootstrap_p(
-                z, fit.lags, tests[q], b_reps, [_seed_int(seed), q]))
-        return tests[q].p_value
-
-    d_hat, order, monotone = _select_dimension(p_value, fit.p, alpha, strategy)
-    trace = tuple(tests[q] for q in order)
-    return DimensionEstimate(
-        d_hat=d_hat,
-        strategy=strategy,
-        alpha=alpha,
-        trace=trace,
-        method=fit.method,
-        lags=fit.lags,
-        monotone=monotone,
-    )
+    (d_hat, seen, monotone), tests = _estimate(
+        x, lags, w, h, alpha, strategy, test_kind, b_reps, seed)
+    trace = tuple(_result(tests, q, p, lags, method) for q, p in seen.items())
+    return DimensionEstimate(d_hat=d_hat, strategy=strategy, alpha=alpha,
+                             trace=trace, method=method, lags=lags,
+                             monotone=monotone)
 
 
 def _select_dimension(p_value, p: int, alpha: float, strategy: str):
     """Apply a strategy to the p-values p_value(q) of q = 0, ..., p - 1.
 
     p_value is called at most once per q, only for the q the strategy
-    evaluates. Returns (d_hat, the evaluated q in order, monotone).
+    evaluates. Returns (d_hat, {q: p-value} in evaluation order, monotone).
     """
     seen = {}
 
@@ -300,7 +327,7 @@ def _select_dimension(p_value, p: int, alpha: float, strategy: str):
         if not _is_monotone(seen, alpha):
             monotone = False
             d_hat = min((q for q, pv in seen.items() if pv >= alpha), default=p)
-    return d_hat, tuple(seen), monotone
+    return d_hat, seen, monotone
 
 
 def _seed_int(seed) -> int:

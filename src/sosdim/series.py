@@ -8,7 +8,6 @@ divisor 1/(T - tau), both centered with the single global column mean.
 from __future__ import annotations
 
 import csv
-import itertools
 import os
 import warnings
 from dataclasses import dataclass
@@ -24,9 +23,6 @@ from .errors import (
 
 #: Relative eigenvalue floor below which a covariance counts as singular.
 EIG_FLOOR_RATIO = 1e-12
-
-#: Characters per read when counting the records of a CSV file.
-_CHUNK_CHARS = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -151,10 +147,7 @@ def load_csv(path, header: bool = False) -> MultiSeries:
     Parse failures report 1-based row and column numbers. No missing
     values are allowed and every entry must be a finite decimal.
     """
-    try:
-        v = _parse_bulk(path, header)
-    except ValueError:  # a field numpy cannot read, or text that does not decode
-        v = None
+    v = _parse_bulk(path, header)
     return MultiSeries(v) if v is not None else _load_csv_rows(path, header)
 
 
@@ -162,56 +155,39 @@ def _parse_bulk(path, header: bool):
     """The file as numpy's C tokenizer reads it, or None where that array
     might differ from what ``_load_csv_rows`` returns.
 
-    The array is kept only when the file holds no quote and the array has
-    one row per CSV record, one column per field of the first line and
-    only finite entries. ``loadtxt`` skips the blank lines that
-    ``csv.reader`` yields as empty records, so a blank line shows up as a
-    row-count mismatch.
+    The parse stops, and the file goes to the row parser, at the first line
+    that holds a quote, which can join lines into one record, or is blank
+    or whitespace only, which ``loadtxt`` skips and ``csv.reader`` does
+    not. The array is kept only when it has rows, as many columns as the
+    first line has fields, and only finite entries. ``loadtxt`` raises
+    ``ValueError`` on ragged rows and unreadable fields, and so does text
+    that does not decode.
     """
     if not os.path.isfile(path):  # a pipe yields its text only once
         return None
-    layout = _csv_layout(path)
-    if layout is None:
+    widths = []  # the first line's field count, then None if the parse stopped
+
+    def lines(fh):
+        for line in fh:
+            if '"' in line or line.isspace():
+                widths.append(None)
+                return
+            if not widths:
+                widths.append(line.count(",") + 1)
+            yield line
+
+    try:
+        with open(path) as fh, warnings.catch_warnings():
+            # A file of no data lines warns "input contained no data".
+            warnings.simplefilter("ignore", UserWarning)
+            v = np.loadtxt(lines(fh), dtype=float, delimiter=",", comments=None,
+                           skiprows=int(header), ndmin=2)
+    except ValueError:
         return None
-    records, width = layout
-    if records <= header:  # no data record: the row parser reports empty input
-        return None
-    with open(path) as fh, warnings.catch_warnings():
-        # Text of blank lines alone warns "input contained no data".
-        warnings.simplefilter("ignore", UserWarning)
-        v = np.loadtxt(fh, dtype=float, delimiter=",", comments=None,
-                       skiprows=int(header), ndmin=2)
-    if v.shape != (records - header, width) or not np.isfinite(v).all():
+    if (None in widths or not len(v) or v.shape[1] != widths[0]
+            or not np.isfinite(v).all()):
         return None
     return v
-
-
-def _csv_layout(path):
-    """(records, fields on the first line) as ``csv.reader`` counts them,
-    or None when the text holds a quote, which can join lines into one
-    record.
-
-    The text is read in chunks, decoded and split as ``_load_csv_rows``
-    reads it: a record ends at ``\\n``, ``\\r`` or ``\\r\\n``, and a last line
-    without one is a record too.
-    """
-    with open(path, newline="") as fh:
-        first = fh.readline()
-        line = first.rstrip("\r\n")
-        width = line.count(",") + 1 if line else 0
-        records, prev = 0, ""
-        for chunk in itertools.chain([first], iter(lambda: fh.read(_CHUNK_CHARS), "")):
-            if '"' in chunk:
-                return None
-            records += chunk.count("\n")
-            if "\r" in chunk:  # a membership test is far cheaper than count
-                records += chunk.count("\r") - chunk.count("\r\n")
-            if prev == "\r" and chunk.startswith("\n"):
-                records -= 1
-            prev = chunk[-1:]
-    if prev not in ("", "\r", "\n"):
-        records += 1
-    return records, width
 
 
 def _records(fh):

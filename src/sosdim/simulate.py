@@ -5,14 +5,15 @@ regenerated with the same master seed is bit-identical regardless of the
 worker count: replicate (n, rep) always draws from entropy
 [master_seed, n, rep].
 
-A table draws each replicate once for all of its methods. The asymptotic
-tests then whiten that draw once, into the stack of the union of the
-methods' lags, and each method reads the all-q p-values of its own rows:
-standardized_autocovs whitens every lag with the same S0^{-1/2}, so the
-rows hold exactly the numbers a stack of the method's lags alone would.
-The bootstrap shares the draw only: it fits each method, evaluates only
-the q its table needs and seeds its resampling from [master_seed, n, rep,
-1] (rejection) or [master_seed, n, rep, 2] (dimension).
+A table draws each replicate once for all of its methods and whitens
+that draw once, into the stack of the union of the methods' lags. Each
+method runs the dimtest core on its own rows of that stack, whatever the
+test kind: standardized_autocovs whitens every lag with the same
+S0^{-1/2}, so the rows hold exactly the numbers a stack of the method's
+lags alone would. The bootstrap evaluates only the q its table needs and
+seeds its resampling from [master_seed, n, rep, 1] (rejection) or
+[master_seed, n, rep, 2] (dimension), as bootstrap_noise_test and
+estimate_dimension do given those seeds.
 """
 
 from __future__ import annotations
@@ -28,8 +29,7 @@ from scipy.signal import lfilter
 
 from . import presets
 from .bss import LAG_PRESETS
-from .dimtest import (STRATEGIES, _check_test_args, _chi2_tests, _select_dimension,
-                      bootstrap_noise_test, estimate_dimension)
+from .dimtest import STRATEGIES, _check_test_args, _estimate, _test_p
 from .errors import InvalidInputError, LagTooLargeError
 from .series import LagSet, MultiSeries, standardized_autocovs
 
@@ -205,24 +205,20 @@ SETTING_NAMES = ("H1", "H2", "H3", "D1", "D2", "D3", "S5")
 def mix(sources: MultiSeries, mixing, seed=None):
     """Apply the mixing x_t = Omega z_t; returns (mixed, Omega).
 
-    mixing is "identity", "uniform" (redrawn until the condition number is
-    below 1e8) or an explicit p x p matrix.
+    mixing is "identity" or "uniform" (redrawn until the condition number
+    is below 1e8).
     """
     p = sources.p
-    if isinstance(mixing, str) and mixing == "identity":
+    if not isinstance(mixing, str) or mixing not in ("identity", "uniform"):
+        raise InvalidInputError(f"unknown mixing: {mixing!r}")
+    if mixing == "identity":
         omega = np.eye(p)
-    elif isinstance(mixing, str) and mixing == "uniform":
+    else:
         rng = np.random.default_rng(seed)
         while True:
             omega = rng.uniform(0.0, 1.0, size=(p, p))
             if np.linalg.cond(omega) < _MAX_MIX_CONDITION:
                 break
-    else:
-        omega = np.asarray(mixing, dtype=float)
-        if omega.shape != (p, p):
-            raise InvalidInputError(f"mixing matrix must be {p} x {p}")
-        if np.linalg.cond(omega) >= _MAX_MIX_CONDITION:
-            raise InvalidInputError("mixing matrix is (near) singular")
     return MultiSeries(sources.values @ omega.T), omega
 
 
@@ -300,58 +296,45 @@ class DimensionTable:
         }
 
 
-def _method_lags(method: str):
+def _method_lags(method: str) -> LagSet:
     if method not in LAG_PRESETS:
         raise InvalidInputError(
             f"unknown estimator preset: {method!r}; expected one of "
             f"{sorted(LAG_PRESETS)}"
         )
-    kind = "amuse" if method == "amuse" else "sobi"
-    return LagSet(LAG_PRESETS[method]), kind
+    return LagSet(LAG_PRESETS[method])
 
 
-def _rejection_entry(p_values, x, lags, kind, entropy, q, alpha, b_reps):
+def _rejection_entry(x, lags, w, h, entropy, q, alpha, test_kind, b_reps):
     """1.0 if the test of q rejects at level alpha, else 0.0."""
-    p = (p_values[q] if p_values is not None else bootstrap_noise_test(
-        x, lags, q, kind, b_reps, seed=[*entropy, 1]).p_value)
+    p = _test_p(x, lags, w, h, q, test_kind, b_reps, [*entropy, 1])[0]
     return float(p < alpha)
 
 
-def _dimension_entry(p_values, x, lags, kind, entropy, alpha, strategy, b_reps):
+def _dimension_entry(x, lags, w, h, entropy, alpha, strategy, test_kind, b_reps):
     """The estimated dimension under the strategy."""
-    if p_values is None:
-        return estimate_dimension(
-            x, lags, alpha=alpha, strategy=strategy, method=kind,
-            test_kind="bootstrap", b_reps=b_reps, seed=[*entropy, 2]).d_hat
-    return _select_dimension(p_values.__getitem__, len(p_values), alpha,
-                             strategy)[0]
+    return _estimate(x, lags, w, h, alpha, strategy, test_kind, b_reps,
+                     [*entropy, 2])[0][0]
 
 
 def _replicate(args):
-    """entry(p_values, x, lags, kind, entropy) of every method on the draw
-    of replicate (n, rep), from entropy [seed, n, rep].
-
-    p_values is the method's all-q vector of asymptotic p-values, read from
-    its rows of one stack over the union of the methods' lags, or None for
-    the bootstrap, which fits each method on the draw.
-    """
-    setting, n, rep, seed, methods, union, test_kind, entry = args
+    """entry(x, lags, w, h, entropy) of every method on the draw x of
+    replicate (n, rep), from entropy [seed, n, rep]: w is the whitener and
+    h the method's rows of the draw's stack over the union of the methods'
+    lags."""
+    setting, n, rep, seed, methods, union, entry = args
     entropy = [seed, n, rep]
     x = simulate_setting(setting, n, entropy)[0]
-    h = (standardized_autocovs(x, union)[1] if test_kind == "asymptotic"
-         else None)
+    w, h = standardized_autocovs(x, union)
     out = []
     for method in methods:
-        lags, kind = _method_lags(method)
-        p_values = None
-        if h is not None:
-            rows = np.searchsorted(union.lags, lags.lags)
-            p_values = _chi2_tests(h[rows], x.T)[4]
-        out.append(entry(p_values, x, lags, kind, entropy))
+        lags = _method_lags(method)
+        out.append(entry(x, lags, w, h[np.searchsorted(union.lags, lags.lags)],
+                         entropy))
     return out
 
 
-def _cells(setting, n_list, methods, reps, seed, test_kind, entry, n_jobs):
+def _cells(setting, n_list, methods, reps, seed, entry, n_jobs):
     """Every method's entry on every replicate (n, rep).
 
     Returns n_list and methods as tuples, a len(n_list) x reps x
@@ -365,12 +348,12 @@ def _cells(setting, n_list, methods, reps, seed, test_kind, entry, n_jobs):
         raise InvalidInputError(f"seed must be >= 0, got {seed}")
     n_list = tuple(int(n) for n in n_list)
     methods = tuple(methods)
-    union = LagSet(tuple(sorted({t for m in methods for t in _method_lags(m)[0]})))
+    union = LagSet(tuple(sorted({t for m in methods for t in _method_lags(m)})))
     for n in n_list:
         if union.max >= n:
             raise LagTooLargeError(
                 f"max lag {union.max} must be smaller than series length {n}")
-    tasks = [(setting, n, rep, seed, methods, union, test_kind, entry)
+    tasks = [(setting, n, rep, seed, methods, union, entry)
              for n in n_list for rep in range(reps)]
     parallel = bool(n_jobs and n_jobs > 1)
     start = time.perf_counter()
@@ -400,8 +383,9 @@ def rejection_table(
     if not 0 <= q <= setting.p - 1:
         raise InvalidInputError(f"q must be in [0, {setting.p - 1}], got {q}")
     n_list, methods, out, timings = _cells(
-        setting, n_list, methods, reps, seed, test_kind,
-        partial(_rejection_entry, q=q, alpha=alpha, b_reps=b_reps), n_jobs)
+        setting, n_list, methods, reps, seed,
+        partial(_rejection_entry, q=q, alpha=alpha, test_kind=test_kind,
+                b_reps=b_reps), n_jobs)
     return FrequencyTable(n_list, methods, out.mean(axis=1), timings)
 
 
@@ -422,9 +406,9 @@ def dimension_table(
     if strategy not in STRATEGIES:
         raise InvalidInputError(f"unknown strategy: {strategy!r}")
     n_list, methods, out, timings = _cells(
-        setting, n_list, methods, reps, seed, estimator_kind,
+        setting, n_list, methods, reps, seed,
         partial(_dimension_entry, alpha=alpha, strategy=strategy,
-                b_reps=b_reps), n_jobs)
+                test_kind=estimator_kind, b_reps=b_reps), n_jobs)
     p = setting.p
     hits = np.minimum(out, p)[..., None] == np.arange(p + 1)
     freq = hits.sum(axis=1) / reps

@@ -121,6 +121,27 @@ class TestStatistic:
 
 
 class TestNoiseTest:
+    @pytest.mark.parametrize("call", ["noise_test", "estimate_dimension"])
+    def test_energy_basis_computed_once(self, monkeypatch, call):
+        import sosdim.bss
+        import sosdim.dimtest
+
+        calls = []
+        original = sosdim.bss._energy_basis
+
+        def counted(h):
+            calls.append(len(h))
+            return original(h)
+
+        monkeypatch.setattr(sosdim.bss, "_energy_basis", counted)
+        monkeypatch.setattr(sosdim.dimtest, "_energy_basis", counted)
+        x = white_series(400, 4, 30)
+        if call == "noise_test":
+            noise_test(x, (1, 2, 3), 1, "sobi")
+        else:
+            estimate_dimension(x, (1, 2, 3), method="sobi")
+        assert calls == [3]
+
     def test_signal_rejected_noise_accepted(self):
         setting = make_setting("H1")
         x, _, _ = simulate_setting(setting, 2000, 10)
@@ -172,6 +193,22 @@ class TestBootstrap:
             bootstrap_noise_test(x, (1,), 1, "sobi", b_reps=0)
         with pytest.raises(InvalidInputError, match="replicate count"):
             estimate_dimension(x, (1,), test_kind="bootstrap", b_reps=0)
+
+    @pytest.mark.parametrize("seed", [-1, [3, -2]], ids=["int", "sequence"])
+    @pytest.mark.parametrize("call", ["test", "estimate"])
+    def test_negative_seed_is_an_input_error(self, call, seed):
+        x = white_series(300, 3, 14)
+        with pytest.raises(InvalidInputError, match="seed"):
+            if call == "test":
+                bootstrap_noise_test(x, (1,), 1, "amuse", seed=seed)
+            else:
+                estimate_dimension(x, (1,), method="amuse",
+                                   test_kind="bootstrap", seed=seed)
+
+    def test_asymptotic_ignores_the_seed(self):
+        x = white_series(300, 3, 14)
+        est = estimate_dimension(x, (1,), method="amuse", seed=-1)
+        assert est.d_hat == estimate_dimension(x, (1,), method="amuse").d_hat
 
     def test_close_to_asymptotic_on_null(self):
         # Same replicates through both tests; rejection rates within 0.03.

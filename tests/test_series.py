@@ -254,6 +254,15 @@ CSV_CASES = {
     "utf8_bom": "\ufeff1,2\n3,4\n5,6\n7,8\n",
     "semicolon": "1;2\n3;4\n5;6\n7;8\n",
     "nul": "1,2\n3,4\n5,\x006\n7,8\n",
+    "header_narrower": "a\n1,2\n3,4\n",
+    "header_only": "a,b\n",
+    "header_blank": "\n1,2\n3,4\n",
+    "quoted_header_wider": '"a,b",c\n1,2,3\n',
+    "quoted_field_newline": '1,"2\n5"\n3,4\n',
+    "cr_cr_lf": "1,2\r\r\n3,4\r\n",
+    "mixed_endings": "1,2\r\n3,4\n5,6\r7,8\n",
+    "only_comma": "1,2\n,\n",
+    "formfeed_line": "1,2\n\x0c\n3,4\n",
 }
 
 

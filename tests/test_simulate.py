@@ -169,22 +169,11 @@ class TestMix:
         assert np.array_equal(o1, o2)
         assert np.all(o1 >= 0.0) and np.all(o1 <= 1.0)
 
-    def test_explicit_matrix(self):
-        z = self.sources()
-        m = 2.0 * np.eye(3)
-        x, omega = mix(z, m)
-        assert np.array_equal(omega, m)
-        assert np.allclose(x.values, 2.0 * z.values)
-
-    def test_singular_matrix_rejected(self):
-        z = self.sources()
-        with pytest.raises(InvalidInputError):
-            mix(z, np.ones((3, 3)))
-
-    def test_wrong_shape_rejected(self):
-        z = self.sources()
-        with pytest.raises(InvalidInputError):
-            mix(z, np.eye(4))
+    @pytest.mark.parametrize("mixing", ["bogus", np.eye(3)],
+                             ids=["name", "matrix"])
+    def test_unknown_mixing_rejected(self, mixing):
+        with pytest.raises(InvalidInputError, match="unknown mixing"):
+            mix(self.sources(), mixing)
 
 
 class TestSimulateSetting:
@@ -322,6 +311,60 @@ class TestTables:
                                       estimator_kind=test_kind, **common)
             assert np.array_equal(rej.values[:, j], one_rej.values[:, 0])
             assert np.array_equal(dim.freq[:, j], one_dim.freq[:, 0])
+
+    def test_bootstrap_table_whitens_each_draw_once(self, monkeypatch):
+        import sosdim.simulate
+
+        calls = []
+        original = sosdim.simulate.standardized_autocovs
+
+        def counted(x, lags):
+            calls.append(tuple(lags))
+            return original(x, lags)
+
+        monkeypatch.setattr(sosdim.simulate, "standardized_autocovs", counted)
+        s = make_setting("H1")
+        args = (s, [150, 200], ("amuse", "sobi6"))
+        common = {"reps": 2, "seed": 3, "b_reps": 3, "n_jobs": 1}
+        rejection_table(*args, q=3, test_kind="bootstrap", **common)
+        dimension_table(*args, estimator_kind="bootstrap", **common)
+        # Two tables of 2 x 2 replicates, each whitened once over lags 1..6.
+        assert calls == [tuple(range(1, 7))] * 8
+
+    @pytest.mark.parametrize("test_kind", ["asymptotic", "bootstrap"])
+    def test_tables_agree_with_the_library(self, test_kind):
+        # The documented seeds: replicate (n, rep) draws from [seed, n, rep]
+        # and its bootstrap resamples from [seed, n, rep, 1] (rejection) or
+        # [seed, n, rep, 2] (dimension).
+        from sosdim import bootstrap_noise_test, estimate_dimension, noise_test
+        from sosdim.bss import LAG_PRESETS
+
+        s = make_setting("H1")
+        n, reps, seed, b_reps, q, alpha = 150, 3, 5, 9, 3, 0.05
+        methods = ("amuse", "sobi6")
+        rej = rejection_table(s, [n], methods, q=q, alpha=alpha, reps=reps,
+                              seed=seed, test_kind=test_kind, b_reps=b_reps)
+        dim = dimension_table(s, [n], methods, alpha=alpha, reps=reps,
+                              seed=seed, estimator_kind=test_kind,
+                              b_reps=b_reps)
+        for j, method in enumerate(methods):
+            lags = LAG_PRESETS[method]
+            kind = "amuse" if method == "amuse" else "sobi"
+            hits, d_hats = 0, np.zeros(s.p + 1)
+            for rep in range(reps):
+                x = simulate_setting(s, n, [seed, n, rep])[0]
+                if test_kind == "asymptotic":
+                    ts = noise_test(x, lags, q, kind)
+                else:
+                    ts = bootstrap_noise_test(x, lags, q, kind, b_reps,
+                                              seed=[seed, n, rep, 1])
+                hits += ts.p_value < alpha
+                est = estimate_dimension(x, lags, alpha=alpha, method=kind,
+                                         test_kind=test_kind, b_reps=b_reps,
+                                         seed=[seed, n, rep, 2])
+                d_hats[est.d_hat] += 1
+            assert rej.values[0, j] == hits / reps
+            assert np.array_equal(dim.freq[0, j], d_hats / reps)
 
     def test_unknown_method_rejected(self):
         s = make_setting("H1")
