@@ -102,7 +102,7 @@ def build_parser() -> argparse.ArgumentParser:
                      help="comma-separated estimator presets")
     _add_test_flags(sim)
     sim.add_argument("--strategy", choices=STRATEGIES, default="divide_and_conquer")
-    sim.add_argument("--threads", type=int, default=os.cpu_count(),
+    sim.add_argument("--threads", type=int, default=os.cpu_count() or 1,
                      help="replicate pool size; results are thread-count independent")
     _add_common(sim)
     return parser
@@ -211,6 +211,8 @@ def cmd_simulate(args) -> int:
         )
     if args.reps < 1:
         raise InvalidInputError("--reps must be >= 1")
+    if args.threads < 1:
+        raise InvalidInputError(f"--threads must be >= 1, got {args.threads}")
     try:
         n_list = tuple(int(n) for n in args.n.split(","))
     except ValueError:

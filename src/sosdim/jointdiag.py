@@ -34,10 +34,8 @@ class JointDiagResult:
 def _fix_column_signs(u: np.ndarray) -> np.ndarray:
     """Flip each column so its largest-magnitude entry is positive."""
     u = u.copy()
-    for j in range(u.shape[1]):
-        k = np.argmax(np.abs(u[:, j]))
-        if u[k, j] < 0:
-            u[:, j] = -u[:, j]
+    peak = u[np.argmax(np.abs(u), axis=0), np.arange(u.shape[1])]
+    u[:, peak < 0] *= -1.0
     return u
 
 
@@ -45,7 +43,7 @@ def _ordered_eigh(h: np.ndarray):
     """Eigenvalues and sign-fixed eigenvectors of a symmetric matrix,
     ordered by decreasing squared eigenvalue (ties: larger eigenvalue first)."""
     w, v = np.linalg.eigh(h)
-    order = sorted(range(len(w)), key=lambda i: (-w[i] ** 2, -w[i]))
+    order = np.lexsort((-w, -w**2))
     return w[order], _fix_column_signs(v[:, order])
 
 

@@ -3,6 +3,8 @@
 Conventions: a series is stored as a T x p matrix (rows = time points),
 the covariance uses divisor 1/T and the lag-tau autocovariance uses
 divisor 1/(T - tau), both centered with the single global column mean.
+standardized_autocovs forms the covariance and every autocovariance of
+its whitened stack from one centring of the series.
 """
 
 from __future__ import annotations
@@ -81,11 +83,23 @@ class LagSet:
         return self.lags[-1]
 
 
+def _lag_products(x: MultiSeries, taus) -> np.ndarray:
+    """The stack of xc[:T - tau]^T xc[tau:] / (T - tau) for tau in taus, where
+    xc is x centred once with its global column mean: tau = 0 is the
+    covariance (divisor 1/T), tau >= 1 the lag-tau autocovariance."""
+    xc = x.values - x.values.mean(axis=0)
+    T = x.T
+    return np.array([(xc[: T - t].T @ xc[t:]) / (T - t) for t in taus])
+
+
+def _symmetrized(s: np.ndarray) -> np.ndarray:
+    """(S + S^T) / 2 of a matrix or of each matrix of a stack."""
+    return (s + np.swapaxes(s, -1, -2)) / 2.0
+
+
 def sample_cov(x: MultiSeries) -> np.ndarray:
     """Sample covariance with divisor 1/T; exactly symmetric."""
-    xc = x.values - x.values.mean(axis=0)
-    c = (xc.T @ xc) / x.T
-    return (c + c.T) / 2.0
+    return _symmetrized(_lag_products(x, (0,))[0])
 
 
 def sample_autocov(x: MultiSeries, tau: int) -> np.ndarray:
@@ -99,8 +113,7 @@ def sample_autocov(x: MultiSeries, tau: int) -> np.ndarray:
         raise InvalidInputError(f"lag must be >= 1, got {tau}")
     if tau >= x.T:
         raise LagTooLargeError(f"lag {tau} must be smaller than series length {x.T}")
-    xc = x.values - x.values.mean(axis=0)
-    return (xc[: x.T - tau].T @ xc[tau:]) / (x.T - tau)
+    return _lag_products(x, (tau,))[0]
 
 
 def symmetrize(s: np.ndarray) -> np.ndarray:
@@ -108,7 +121,7 @@ def symmetrize(s: np.ndarray) -> np.ndarray:
     s = np.asarray(s, dtype=float)
     if s.ndim != 2 or s.shape[0] != s.shape[1]:
         raise InvalidInputError(f"expected a square matrix, got shape {s.shape}")
-    return (s + s.T) / 2.0
+    return _symmetrized(s)
 
 
 def sym_inv_sqrt(s: np.ndarray) -> np.ndarray:
@@ -131,14 +144,19 @@ def sym_inv_sqrt(s: np.ndarray) -> np.ndarray:
 
 def standardized_autocovs(x: MultiSeries, lags: LagSet):
     """The whitener S0^{-1/2} and the |lags| x p x p stack of whitened
-    symmetrized autocovariances S0^{-1/2} R_tau S0^{-1/2}."""
+    symmetrized autocovariances S0^{-1/2} R_tau S0^{-1/2}.
+
+    S0 and every R_tau come from one centring of x, and every lag is
+    whitened in one stacked product; the numbers are those of sample_cov,
+    sample_autocov, symmetrize and sym_inv_sqrt applied lag by lag.
+    """
     if lags.max >= x.T:
         raise LagTooLargeError(
             f"max lag {lags.max} must be smaller than series length {x.T}"
         )
-    m = sym_inv_sqrt(sample_cov(x))
-    h = np.array([symmetrize(m @ symmetrize(sample_autocov(x, t)) @ m) for t in lags])
-    return m, h
+    r = _symmetrized(_lag_products(x, (0, *lags)))
+    m = sym_inv_sqrt(r[0])
+    return m, _symmetrized(m @ r[1:] @ m)
 
 
 def load_csv(path, header: bool = False) -> MultiSeries:

@@ -339,11 +339,15 @@ def _cells(setting, n_list, methods, reps, seed, entry, n_jobs):
 
     Returns n_list and methods as tuples, a len(n_list) x reps x
     len(methods) array of the entries and the table's wall-clock seconds
-    under each method's key. One process pool serves the whole table; replicate
-    (n, rep) draws from entropy [seed, n, rep] whichever worker runs it.
+    under each method's key. The table runs on min(n_jobs, replicates)
+    workers: one process pool, or this process when that is one worker.
+    Replicate (n, rep) draws from entropy [seed, n, rep] whichever worker
+    runs it.
     """
     if reps < 1:
         raise InvalidInputError("reps must be >= 1")
+    if n_jobs < 1:
+        raise InvalidInputError(f"n_jobs must be >= 1, got {n_jobs}")
     if seed < 0:
         raise InvalidInputError(f"seed must be >= 0, got {seed}")
     n_list = tuple(int(n) for n in n_list)
@@ -355,10 +359,11 @@ def _cells(setting, n_list, methods, reps, seed, entry, n_jobs):
                 f"max lag {union.max} must be smaller than series length {n}")
     tasks = [(setting, n, rep, seed, methods, union, entry)
              for n in n_list for rep in range(reps)]
-    parallel = bool(n_jobs and n_jobs > 1)
+    workers = min(n_jobs, len(tasks))
+    parallel = workers > 1
     start = time.perf_counter()
-    with ProcessPoolExecutor(n_jobs) if parallel else nullcontext() as pool:
-        chunk = max(1, reps // (4 * n_jobs)) if parallel else 1
+    with ProcessPoolExecutor(workers) if parallel else nullcontext() as pool:
+        chunk = max(1, reps // (4 * workers))
         run = partial(pool.map, chunksize=chunk) if parallel else map
         out = np.array(list(run(_replicate, tasks)), dtype=float)
     elapsed = time.perf_counter() - start

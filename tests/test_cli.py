@@ -251,6 +251,23 @@ class TestSimulate:
         assert out == ""
         assert "replicate count" in err
 
+    @pytest.mark.parametrize("threads", ["0", "-4"])
+    def test_threads_below_one(self, capsys, monkeypatch, threads):
+        import sosdim.simulate
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("process pool started")
+
+        monkeypatch.setattr(sosdim.simulate, "ProcessPoolExecutor", refuse)
+        code, out, err = run([
+            "simulate", "--setting", "H1", "--table", "dimension",
+            "--n", "200", "--reps", "2", "--method", "amuse",
+            "--threads", threads,
+        ], capsys)
+        assert code == EXIT_INPUT
+        assert out == ""
+        assert f"--threads must be >= 1, got {threads}" in err
+
     def test_rejection_needs_q(self, capsys):
         code, _, err = run([
             "simulate", "--setting", "H1", "--n", "200", "--reps", "2",

@@ -210,6 +210,27 @@ class TestBootstrap:
         est = estimate_dimension(x, (1,), method="amuse", seed=-1)
         assert est.d_hat == estimate_dimension(x, (1,), method="amuse").d_hat
 
+    @pytest.mark.parametrize("b_reps", [1, 7])
+    def test_every_replicate_goes_through_the_kernel(self, monkeypatch, b_reps):
+        # One stack for the observed series (through bss) and one per
+        # replicate (through dimtest): the per-layer span of
+        # standardized_autocovs counts them all, and a second whitening
+        # path would show here.
+        import sosdim.bss
+        import sosdim.dimtest
+
+        calls = []
+        original = sosdim.dimtest.standardized_autocovs
+        for module in (sosdim.bss, sosdim.dimtest):
+            def counted(x, lags, name=module.__name__):
+                calls.append(name)
+                return original(x, lags)
+
+            monkeypatch.setattr(module, "standardized_autocovs", counted)
+        x = white_series(300, 3, 16)
+        bootstrap_noise_test(x, (1, 2), 1, "sobi", b_reps=b_reps, seed=4)
+        assert calls == ["sosdim.bss"] + ["sosdim.dimtest"] * b_reps
+
     def test_close_to_asymptotic_on_null(self):
         # Same replicates through both tests; rejection rates within 0.03.
         setting = make_setting("H1")

@@ -73,6 +73,32 @@ class TestGeneralizedEig:
         d, _ = _ordered_eigh(self.whitened(np.eye(3), np.diag([0.5, -3.0, 2.0])))
         assert list(d) == [-3.0, 2.0, 0.5]
 
+    @pytest.mark.parametrize("diagonal", [False, True], ids=["dense", "tied"])
+    def test_matches_the_loop_reference(self, diagonal):
+        # The sort key and the column-by-column sign flip, as loops; the
+        # layout must match too, since BLAS rounds a transposed operand
+        # differently in the products that follow.
+        def reference(h):
+            w, v = np.linalg.eigh(h)
+            order = sorted(range(len(w)), key=lambda i: (-w[i] ** 2, -w[i]))
+            u = v[:, order].copy()
+            for j in range(u.shape[1]):
+                if u[np.argmax(np.abs(u[:, j])), j] < 0:
+                    u[:, j] = -u[:, j]
+            return w[order], u
+
+        rng = np.random.default_rng(31)
+        for p in range(1, 13):
+            if diagonal:
+                h = np.diag(rng.choice([-2.0, -1.0, 0.0, 1.0, 2.0], size=p))
+            else:
+                a = rng.standard_normal((p, p))
+                h = (a + a.T) / 2.0
+            (w, u), (w_ref, u_ref) = _ordered_eigh(h), reference(h)
+            assert np.array_equal(w, w_ref)
+            assert np.array_equal(u, u_ref)
+            assert u.strides == u_ref.strides
+
 
 class TestJointDiagonalize:
     def test_already_diagonal_fixed_point(self):

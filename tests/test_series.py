@@ -76,13 +76,15 @@ class TestSampleAutocov:
         assert np.allclose(sample_autocov(x, 1), 0.0)
 
     def test_alternating_hand_case(self):
-        # Brute force over the 3 summands: products are each -1.
+        # Brute force over the T - tau summands: products are each -1 at
+        # lag 1 and +1 at lag 2.
         x = series([[1.0], [-1.0], [1.0], [-1.0]])
         vals = x.values[:, 0]
-        expected = sum(vals[t] * vals[t + 1] for t in range(3)) / 3
-        got = sample_autocov(x, 1)[0, 0]
-        assert got == pytest.approx(expected)
-        assert got == pytest.approx(-1.0)
+        for tau, sign in ((1, -1.0), (2, 1.0)):
+            expected = sum(vals[t] * vals[t + tau] for t in range(4 - tau)) / (4 - tau)
+            got = sample_autocov(x, tau)[0, 0]
+            assert got == pytest.approx(expected)
+            assert got == pytest.approx(sign)
 
     def test_ar1_ratio_matches_theory(self):
         rng = np.random.default_rng(7)
@@ -185,6 +187,35 @@ class TestStandardizedAutocovs:
         m, h = standardized_autocovs(x, LagSet((1,)))
         assert h.shape == (1, 2, 2)
         assert np.abs(m @ sample_cov(x) @ m - np.eye(2)).max() <= 1e-12
+
+    @pytest.mark.parametrize("T, p, lags", [
+        (500, 1, (1, 2, 3)),
+        (400, 4, (1,)),
+        (300, 6, tuple(range(1, 13))),
+        (60, 3, (1, 2, 59)),
+        (3, 2, (1, 2)),
+    ], ids=["p1", "one-lag", "twelve-lags", "edge-lag", "three-points"])
+    def test_kernel_matches_reference_definitions(self, T, p, lags):
+        # The one-pass kernel against the public definitions, lag by lag.
+        rng = np.random.default_rng(T + p)
+        v = rng.standard_normal((T, p)) @ rng.standard_normal((p, p))
+        x = series(v + np.cumsum(rng.standard_normal((T, p)), axis=0) * 0.05)
+        m, h = standardized_autocovs(x, LagSet(lags))
+        ref = sym_inv_sqrt(sample_cov(x))
+        assert np.allclose(m, ref, rtol=0, atol=1e-13)
+        assert h.shape == (len(lags), p, p)
+        assert m.flags.c_contiguous and h.flags.c_contiguous
+        for mat, t in zip(h, lags):
+            want = symmetrize(ref @ symmetrize(sample_autocov(x, t)) @ ref)
+            assert np.allclose(mat, want, rtol=0, atol=1e-13)
+
+    def test_kernel_errors(self):
+        x = series(np.random.default_rng(15).standard_normal((20, 2)))
+        with pytest.raises(LagTooLargeError, match="max lag 20"):
+            standardized_autocovs(x, LagSet((1, 20)))
+        collinear = series(np.outer(np.arange(20.0), [1.0, 2.0]))
+        with pytest.raises(NearSingularCovarianceError):
+            standardized_autocovs(collinear, LagSet((1,)))
 
 
 class TestCsv:

@@ -268,6 +268,8 @@ class TestTables:
                      id="rejection-n-zero"),
         pytest.param("dimension", {"n_list": [0]}, "series length 0",
                      id="dimension-n-zero"),
+        pytest.param("rejection", {"n_jobs": 0}, "n_jobs", id="rejection-n-jobs"),
+        pytest.param("dimension", {"n_jobs": -4}, "n_jobs", id="dimension-n-jobs"),
     ])
     def test_alpha_validated_before_the_pool_starts(self, table, bad, match,
                                                     monkeypatch):
@@ -287,6 +289,41 @@ class TestTables:
                 rejection_table(s, n_list, q=args.pop("q", 3), **args)
             else:
                 dimension_table(s, n_list, **args)
+
+    @pytest.mark.parametrize("n_list, reps, n_jobs, pools", [
+        ([200], 1, 4, []),
+        ([200, 300], 1, 8, [2]),
+        ([200], 3, 2, [2]),
+        ([200], 3, 1, []),
+    ], ids=["one-task", "two-tasks", "as-asked", "serial"])
+    def test_pool_never_outnumbers_the_replicates(self, monkeypatch, n_list,
+                                                  reps, n_jobs, pools):
+        # A recording stand-in for the pool: it runs the tasks in this
+        # process and keeps each pool's worker count.
+        import sosdim.simulate
+
+        opened = []
+
+        class Recording:
+            def __init__(self, max_workers):
+                opened.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks, chunksize=1):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(sosdim.simulate, "ProcessPoolExecutor", Recording)
+        s = make_setting("H1")
+        t = dimension_table(s, n_list, ["amuse"], reps=reps, seed=8,
+                            n_jobs=n_jobs)
+        assert opened == pools
+        serial = dimension_table(s, n_list, ["amuse"], reps=reps, seed=8)
+        assert np.array_equal(t.freq, serial.freq)
 
     @pytest.mark.parametrize("test_kind", ["asymptotic", "bootstrap"])
     @pytest.mark.parametrize("methods", [("amuse", "sobi6", "sobi12"),
