@@ -18,6 +18,7 @@ import numpy as np
 from .bss import LAG_PRESETS
 from .dimtest import (
     STRATEGIES,
+    _check_test_args,
     bootstrap_noise_test,
     dimension_report,
     estimate_dimension,
@@ -179,6 +180,7 @@ def cmd_estimate(args) -> int:
 
 
 def cmd_test(args) -> int:
+    _check_test_args(args.alpha, args.test_kind, args.bootstrap_reps)
     x = load_csv(args.input, header=args.header)
     lags, method = _resolve_lags(args)
     seed = _seed(args)

@@ -20,19 +20,22 @@ both kinds of simulation table call it; only the public functions build
 TestResult and DimensionEstimate. All q come from the one stack
 G_tau = W^T H_tau W of the full energy basis W: the noise block of q is
 the trailing (p - q) x (p - q) block of every G_tau, so suffix sums of
-sum_tau G_tau^2 give every statistic in one pass (_chi2_tests). The
-p-values are scipy's chi-square tail (scipy.special.chdtrc). A bootstrap
-replicate resamples the trailing columns of the sources (x - xbar) S0^{-1/2} W
-and needs only its own stack: whitening removes any mixing up to a
-rotation, and the replicate's own energy basis removes the rotation.
+sum_tau G_tau^2 give every statistic in one pass (_chi2_tests). Every
+df is an integer, so each p-value is a finite sum of Poisson-like terms
+(_chi2_sf), with erfc for odd df, and needs no special-function library.
+A bootstrap replicate resamples the trailing columns of the sources
+(x - xbar) S0^{-1/2} W and needs only its own stack: whitening removes any
+mixing up to a rotation, and the replicate's own energy basis removes the
+rotation.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
-from scipy.special import chdtrc
 
 from .bss import UnmixingResult, _energy_basis, _whitened
 from .errors import InvalidInputError
@@ -76,6 +79,56 @@ def _m_hat(h: np.ndarray, u: np.ndarray) -> np.ndarray:
     return tail / (len(h) * r * r)
 
 
+_TINY = np.finfo(float).tiny
+
+
+@lru_cache(maxsize=64)
+def _chi2_terms(k: int, p: int):
+    """(row, start, e, lg, erfc_at): every term of _chi2_sf for a k-lag
+    stack of p series, in one flat array. Term i belongs to q = row[i], and
+    the terms of q begin at start[q]. It is exp(e[i] log y - y - lg[i]),
+    with e = j + a and lg = lgamma(j + a + 1) for j = 0, ..., df // 2 - 1,
+    where a = 1/2 for odd df and 0 for even. An odd df's terms begin with a
+    slot (j = -1) for erfc(sqrt(y)), so every q has a term; erfc_at holds
+    the (index, q) of each slot. The arrays are read-only, because every
+    call with (k, p) shares them."""
+    r = p - np.arange(p)
+    df = k * r * (r + 1) // 2
+    count = (df + 1) // 2
+    row = np.repeat(np.arange(p), count)
+    start = np.cumsum(count) - count
+    e = np.arange(len(row)) - (start + df % 2 / 2)[row]
+    # m = 2 (e + 1) is an integer >= 1: one lgamma call per m, not per term.
+    m = (2 * e + 2).astype(np.intp)
+    lg = np.array([math.lgamma(v / 2) for v in range(1, m.max() + 1)])[m - 1]
+    for a in (row, start, e, lg):
+        a.setflags(write=False)
+    slots = np.flatnonzero(e < 0)
+    return row, start, e, lg, tuple(zip(slots.tolist(), row[slots].tolist()))
+
+
+def _chi2_sf(stat: np.ndarray, k: int) -> np.ndarray:
+    """Chi-square upper tail of stat[q] on df = k r (r + 1) / 2 degrees of
+    freedom, r = p - q, for every q of a k-lag stack of p = len(stat) series.
+
+    df is an integer, so the tail Q(df/2, y), y = stat/2, is a finite sum:
+    of y^j e^-y / j! over j < df/2 for even df, and erfc(sqrt(y)) plus the
+    sum of y^(j+1/2) e^-y / Gamma(j + 3/2) over j < (df - 1)/2 for odd df.
+    Every term is exponentiated from log space on its own. Factoring out
+    e^-y would underflow for y > 745, and a recurrence from the last term
+    would start from 0 when y << df/2.
+    """
+    row, start, e, lg, erfc_at = _chi2_terms(k, len(stat))
+    y = stat / 2.0
+    # At y = 0 the term j = 0 would be exp(0 * -inf). At the smallest normal
+    # double every other term is below the rounding of 1, as at y = 0.
+    terms = np.exp(e * np.log(np.maximum(y, _TINY))[row] - lg - y[row])
+    for i, q in erfc_at:
+        terms[i] = math.erfc(math.sqrt(y[q]))
+    # Rounding can carry a sum of terms near 1 past it by a few ulps.
+    return np.minimum(np.add.reduceat(terms, start), 1.0)
+
+
 def _chi2_tests(h: np.ndarray, T: int):
     """(u, m_hat, stat, df, p_value) of every q from the whitened stack h
     of a length-T series: u is its energy basis and the rest are arrays
@@ -86,7 +139,7 @@ def _chi2_tests(h: np.ndarray, T: int):
     r = p - np.arange(p)
     stat = T * k * r * r * m_hat
     df = k * r * (r + 1) // 2
-    return u, m_hat, stat, df, chdtrc(df, stat)
+    return u, m_hat, stat, df, _chi2_sf(stat, k)
 
 
 def _result(tests, q: int, p_value, lags: LagSet, method: str) -> TestResult:

@@ -189,6 +189,14 @@ class TestTest:
         assert code == EXIT_INPUT
         assert "q must be" in err
 
+    @pytest.mark.parametrize("alpha", ["7", "0"])
+    def test_alpha_outside_the_unit_interval(self, noise_csv, capsys, alpha):
+        code, out, err = run(["test", "--input", noise_csv, "--q", "0",
+                              "--alpha", alpha], capsys)
+        assert code == EXIT_INPUT
+        assert out == ""
+        assert "alpha must be in (0, 1)" in err
+
     def test_rejects_signal(self, signal_csv, capsys):
         _, out, _ = run(["test", "--input", signal_csv, "--q", "1"], capsys)
         assert json.loads(out)["p_value"] < 0.001
@@ -306,6 +314,30 @@ class TestEntryPoint:
              "assert callable(sosdim.dimension_table)\n"
              "assert callable(sosdim.simulate_setting)\n"
              "assert 'scipy.signal' in sys.modules\n"],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+
+    def test_estimate_and_test_load_no_scipy(self, tmp_path):
+        # The chi-square tail is a finite sum in dimtest; only `sosdim
+        # simulate` needs scipy, for lfilter.
+        rng = np.random.default_rng(8)
+        path = tmp_path / "x.csv"
+        np.savetxt(path, rng.standard_normal((300, 3)), delimiter=",")
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import contextlib, io, sys\n"
+             "from sosdim.cli import main\n"
+             "path = sys.argv[1]\n"
+             "with contextlib.redirect_stdout(io.StringIO()):\n"
+             "    codes = [main(['estimate', '--input', path]),\n"
+             "             main(['test', '--input', path, '--q', '1']),\n"
+             "             main(['test', '--input', path, '--q', '1',\n"
+             "                   '--test-kind', 'bootstrap', '-B', '5'])]\n"
+             "assert codes == [0, 0, 0], codes\n"
+             "loaded = sorted(m for m in sys.modules if m.startswith('scipy'))\n"
+             "assert not loaded, loaded\n",
+             str(path)],
             capture_output=True, text=True,
         )
         assert proc.returncode == 0, proc.stderr

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 import scipy.stats
+from scipy.special import chdtrc
 
 from sosdim import (
     InvalidInputError,
@@ -15,7 +16,7 @@ from sosdim import (
     unmix,
 )
 from sosdim import test_statistic as statistic_of
-from sosdim.dimtest import dimension_report
+from sosdim.dimtest import _chi2_sf, dimension_report
 from sosdim.dimtest import test_report as report_of
 from sosdim.simulate import make_setting, simulate_setting
 
@@ -118,6 +119,38 @@ class TestStatistic:
             a = noise_test(x, (1, 2), q, "sobi")
             b = noise_test(y, (1, 2), q, "sobi")
             assert abs(a.m_hat - b.m_hat) <= 1e-8
+
+
+class TestChi2Tail:
+    # Each stat is a function of the df of each q: zero, far below, at and
+    # above the mean, and deep in the tail.
+    STATS = {
+        "zero": lambda df: 0.0 * df,
+        "1e-3df": lambda df: 1e-3 * df,
+        "0.3df": lambda df: 0.3 * df,
+        "df": lambda df: 1.0 * df,
+        "df+3sd": lambda df: df + 3 * np.sqrt(2.0 * df),
+        "2df": lambda df: 2.0 * df,
+        "10df+500": lambda df: 10.0 * df + 500,
+    }
+
+    @pytest.mark.parametrize("stat_of", STATS.values(), ids=STATS.keys())
+    def test_matches_scipy_over_the_df_grid(self, stat_of):
+        for p in range(1, 21):
+            r = p - np.arange(p)
+            for k in range(1, 13):
+                df = k * r * (r + 1) // 2
+                stat = stat_of(df)
+                got = _chi2_sf(stat, k)
+                want = chdtrc(df, stat)
+                assert got.shape == (p,)
+                assert not np.isnan(got).any()
+                assert np.all((0.0 <= got) & (got <= 1.0))
+                # Exactly 1 at stat = 0, for odd and even df alike.
+                assert np.all(got[stat == 0] == 1.0)
+                np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+                big = want > 1e-300
+                np.testing.assert_allclose(got[big], want[big], rtol=1e-10, atol=0)
 
 
 class TestNoiseTest:
