@@ -61,11 +61,12 @@ def _energy_basis(h: np.ndarray):
     the sampled noise looks most autocorrelated, so tests of q above the
     true signal count, run on its trailing columns, reject far too often.
     The basis does not separate sources of equal total energy; sobi does.
+    A (..., k, p, p) batch of stacks gives a basis per stack.
     """
-    if len(h) == 1:
-        d, u = _ordered_eigh(h[0])
+    if h.shape[-3] == 1:
+        d, u = _ordered_eigh(h[..., 0, :, :])
         return d**2, u
-    return _ordered_eigh((h @ h).sum(axis=0))
+    return _ordered_eigh((h @ h).sum(axis=-3))
 
 
 def amuse(x: MultiSeries, tau: int = 1) -> UnmixingResult:

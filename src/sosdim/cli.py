@@ -148,6 +148,7 @@ def _emit_trace_csv(entries, output):
 
 
 def cmd_estimate(args) -> int:
+    _check_test_args(args.alpha, args.test_kind, args.bootstrap_reps)
     x = load_csv(args.input, header=args.header)
     lags, method = _resolve_lags(args)
     seed = _seed(args)

@@ -32,19 +32,23 @@ class JointDiagResult:
 
 
 def _fix_column_signs(u: np.ndarray) -> np.ndarray:
-    """Flip each column so its largest-magnitude entry is positive."""
-    u = u.copy()
-    peak = u[np.argmax(np.abs(u), axis=0), np.arange(u.shape[1])]
-    u[:, peak < 0] *= -1.0
-    return u
+    """Flip each column so its largest-magnitude entry is positive, in each
+    matrix of an (n, m, p) stack."""
+    rows = np.arange(len(u))[:, None]
+    peak = u[rows, np.abs(u).argmax(axis=1), np.arange(u.shape[2])]
+    return np.where(peak[:, None, :] < 0, -u, u)
 
 
 def _ordered_eigh(h: np.ndarray):
-    """Eigenvalues and sign-fixed eigenvectors of a symmetric matrix,
-    ordered by decreasing squared eigenvalue (ties: larger eigenvalue first)."""
-    w, v = np.linalg.eigh(h)
-    order = np.lexsort((-w, -w**2))
-    return w[order], _fix_column_signs(v[:, order])
+    """Eigenvalues and sign-fixed eigenvectors of a symmetric matrix, or of
+    each matrix of a stack, ordered by decreasing squared eigenvalue (ties:
+    larger eigenvalue first)."""
+    p = h.shape[-1]
+    w, v = np.linalg.eigh(h.reshape(-1, p, p))
+    order = np.lexsort((-w, -w**2), axis=-1)
+    rows = np.arange(len(w))[:, None]
+    u = _fix_column_signs(v[rows[:, :, None], np.arange(p)[:, None], order[:, None, :]])
+    return w[rows, order].reshape(h.shape[:-1]), u.reshape(h.shape)
 
 
 def _as_stack(h) -> np.ndarray:
@@ -108,7 +112,7 @@ def joint_diagonalize(h, tol: float = DEFAULT_TOL,
         converged = max_angle < tol
         if converged:
             break
-    u = _fix_column_signs(u)
+    u = _fix_column_signs(u[None])[0]
     # Recompute from the pristine inputs so the profiles are exact.
     rotated = np.einsum("mi,kmn,nj->kij", u, original, u)
     profiles = np.einsum("kii->ki", rotated).copy()

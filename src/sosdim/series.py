@@ -4,7 +4,9 @@ Conventions: a series is stored as a T x p matrix (rows = time points),
 the covariance uses divisor 1/T and the lag-tau autocovariance uses
 divisor 1/(T - tau), both centered with the single global column mean.
 standardized_autocovs forms the covariance and every autocovariance of
-its whitened stack from one centring of the series.
+its whitened stack from one centring of the series. The whitening kernel
+(_whiten) takes series time-major, as (..., p, T) arrays, so a batch of
+series is one call; a single series passes the view x.values.T.
 """
 
 from __future__ import annotations
@@ -83,23 +85,32 @@ class LagSet:
         return self.lags[-1]
 
 
-def _lag_products(x: MultiSeries, taus) -> np.ndarray:
-    """The stack of xc[:T - tau]^T xc[tau:] / (T - tau) for tau in taus, where
-    xc is x centred once with its global column mean: tau = 0 is the
-    covariance (divisor 1/T), tau >= 1 the lag-tau autocovariance."""
-    xc = x.values - x.values.mean(axis=0)
-    T = x.T
-    return np.array([(xc[: T - t].T @ xc[t:]) / (T - t) for t in taus])
+def _lag_products(xt: np.ndarray, taus) -> np.ndarray:
+    """The stack of xc[..., :T - tau] @ xc[..., tau:]^T / (T - tau) for tau in
+    taus, of every time-major (..., p, T) series xt, where xc is xt centred
+    once with its global mean along the last axis: tau = 0 is the
+    covariance (divisor 1/T), tau >= 1 the lag-tau autocovariance. The lag
+    axis comes third from last."""
+    xc = xt - xt.mean(axis=-1, keepdims=True)
+    xct = xc.swapaxes(-1, -2)
+    p, T = xt.shape[-2:]
+    # Each product goes straight into one stack; np.stack's overhead per lag
+    # showed in the simulation tables, whose series are small.
+    out = np.empty((*xt.shape[:-2], len(taus), p, p))
+    for i, t in enumerate(taus):
+        np.matmul(xc[..., : T - t], xct[..., t:, :], out=out[..., i, :, :])
+    out /= np.subtract(T, taus, dtype=float)[:, None, None]
+    return out
 
 
 def _symmetrized(s: np.ndarray) -> np.ndarray:
     """(S + S^T) / 2 of a matrix or of each matrix of a stack."""
-    return (s + np.swapaxes(s, -1, -2)) / 2.0
+    return (s + s.swapaxes(-1, -2)) / 2.0
 
 
 def sample_cov(x: MultiSeries) -> np.ndarray:
     """Sample covariance with divisor 1/T; exactly symmetric."""
-    return _symmetrized(_lag_products(x, (0,))[0])
+    return _symmetrized(_lag_products(x.values.T, (0,))[0])
 
 
 def sample_autocov(x: MultiSeries, tau: int) -> np.ndarray:
@@ -113,7 +124,7 @@ def sample_autocov(x: MultiSeries, tau: int) -> np.ndarray:
         raise InvalidInputError(f"lag must be >= 1, got {tau}")
     if tau >= x.T:
         raise LagTooLargeError(f"lag {tau} must be smaller than series length {x.T}")
-    return _lag_products(x, (tau,))[0]
+    return _lag_products(x.values.T, (tau,))[0]
 
 
 def symmetrize(s: np.ndarray) -> np.ndarray:
@@ -131,15 +142,23 @@ def sym_inv_sqrt(s: np.ndarray) -> np.ndarray:
     NearSingularCovarianceError rather than being pseudo-inverted; silent
     rank reduction would corrupt degrees of freedom downstream.
     """
-    s = symmetrize(s)
+    return _inv_sqrt(symmetrize(s))
+
+
+def _inv_sqrt(s: np.ndarray) -> np.ndarray:
+    """sym_inv_sqrt of each symmetric matrix of a (..., p, p) stack. The
+    first matrix at or below the floor raises, naming its eigenvalues."""
     w, v = np.linalg.eigh(s)
-    floor = EIG_FLOOR_RATIO * w[-1]
-    if w[0] <= floor or w[-1] <= 0.0:
+    floor = EIG_FLOOR_RATIO * w[..., -1]
+    bad = (w[..., 0] <= floor) | (w[..., -1] <= 0.0)
+    if bad.any():
+        i = np.argmax(bad.ravel())
         raise NearSingularCovarianceError(
-            f"eigenvalue {w[0]:.6e} at or below floor {floor:.6e}"
+            f"eigenvalue {w.reshape(-1, w.shape[-1])[i, 0]:.6e} at or below "
+            f"floor {floor.ravel()[i]:.6e}"
         )
-    m = (v * (1.0 / np.sqrt(w))) @ v.T
-    return (m + m.T) / 2.0
+    m = (v * (1.0 / np.sqrt(w))[..., None, :]) @ v.swapaxes(-1, -2)
+    return _symmetrized(m)
 
 
 def standardized_autocovs(x: MultiSeries, lags: LagSet):
@@ -154,9 +173,17 @@ def standardized_autocovs(x: MultiSeries, lags: LagSet):
         raise LagTooLargeError(
             f"max lag {lags.max} must be smaller than series length {x.T}"
         )
-    r = _symmetrized(_lag_products(x, (0, *lags)))
-    m = sym_inv_sqrt(r[0])
-    return m, _symmetrized(m @ r[1:] @ m)
+    return _whiten(x.values.T, lags)
+
+
+def _whiten(xt: np.ndarray, lags: LagSet):
+    """standardized_autocovs of every time-major (..., p, T) series xt, whose
+    length exceeds lags.max: whiteners (..., p, p) and stacks (..., k, p, p).
+    The one whitening kernel; a single series is the batch of one."""
+    r = _symmetrized(_lag_products(xt, (0, *lags)))
+    m = _inv_sqrt(r[..., 0, :, :])
+    mb = m[..., None, :, :]  # one whitener for every lag
+    return m, _symmetrized(mb @ r[..., 1:, :, :] @ mb)
 
 
 def load_csv(path, header: bool = False) -> MultiSeries:

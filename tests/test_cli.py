@@ -168,6 +168,18 @@ class TestEstimate:
         assert code == EXIT_INPUT
         assert "row 2:" in err and "field limit" in err
 
+    @pytest.mark.parametrize("command", ["estimate", "test"])
+    def test_arguments_checked_before_the_file_is_read(self, tmp_path, capsys,
+                                                       command):
+        path = tmp_path / "bad.csv"
+        path.write_text("1.0,2.0\n3.0,oops\n")
+        q = ["--q", "0"] if command == "test" else []
+        code, out, err = run([command, "--input", str(path), "--alpha", "2", *q],
+                             capsys)
+        assert code == EXIT_INPUT
+        assert out == ""
+        assert "alpha must be in (0, 1)" in err
+
     def test_unknown_flag(self, noise_csv, capsys):
         code, _, _ = run(["estimate", "--input", noise_csv, "--bogus"], capsys)
         assert code == EXIT_INPUT

@@ -245,24 +245,78 @@ class TestBootstrap:
 
     @pytest.mark.parametrize("b_reps", [1, 7])
     def test_every_replicate_goes_through_the_kernel(self, monkeypatch, b_reps):
-        # One stack for the observed series (through bss) and one per
-        # replicate (through dimtest): the per-layer span of
-        # standardized_autocovs counts them all, and a second whitening
-        # path would show here.
-        import sosdim.bss
+        # One kernel call for the observed series (through bss) and one per
+        # chunk of replicates (through dimtest), whose leading sizes sum to
+        # B: a second whitening path would show here.
+        import sosdim.dimtest
+        import sosdim.series
+
+        x = white_series(300, 3, 16)
+        monkeypatch.setattr(sosdim.dimtest, "_CHUNK_BYTES", 3 * 8 * x.p * x.T)
+        calls = []
+        original = sosdim.series._whiten
+        for module in (sosdim.series, sosdim.dimtest):
+            def counted(xt, lags, name=module.__name__):
+                calls.append((name, xt.shape[:-2]))
+                return original(xt, lags)
+
+            monkeypatch.setattr(module, "_whiten", counted)
+        bootstrap_noise_test(x, (1, 2), 1, "sobi", b_reps=b_reps, seed=4)
+        chunks = [min(3, b_reps - first) for first in range(0, b_reps, 3)]
+        assert calls == ([("sosdim.series", ())]
+                         + [("sosdim.dimtest", (b,)) for b in chunks])
+
+    def test_chunk_size_leaves_the_p_values_unchanged(self, monkeypatch):
         import sosdim.dimtest
 
-        calls = []
-        original = sosdim.dimtest.standardized_autocovs
-        for module in (sosdim.bss, sosdim.dimtest):
-            def counted(x, lags, name=module.__name__):
-                calls.append(name)
-                return original(x, lags)
+        x = simulate_setting(make_setting("D1"), 2000, [41, 0])[0]
+        got = {}
+        for chunk in (1, 3, 25):
+            monkeypatch.setattr(sosdim.dimtest, "_CHUNK_BYTES",
+                                chunk * 8 * x.p * x.T)
+            got[chunk] = [bootstrap_noise_test(x, range(1, 7), q, "sobi",
+                                               b_reps=25, seed=q).p_value
+                          for q in range(x.p)]
+        assert got[1] == got[3] == got[25]
 
-            monkeypatch.setattr(module, "standardized_autocovs", counted)
-        x = white_series(300, 3, 16)
-        bootstrap_noise_test(x, (1, 2), 1, "sobi", b_reps=b_reps, seed=4)
-        assert calls == ["sosdim.bss"] + ["sosdim.dimtest"] * b_reps
+    # Bootstrap counts of the one-replicate-a-call implementation, which
+    # chunking must reproduce: (setting, n, draw, lags, method, q, B, seed,
+    # count), p = (1 + count) / (B + 1).
+    PINNED = [
+        ("D1", 1000, [12, 0], range(1, 7), "sobi", 3, 40, 3, 0),
+        ("D1", 1000, [12, 0], range(1, 7), "sobi", 5, 40, 5, 6),
+        ("D1", 1000, [12, 0], range(1, 7), "sobi", 7, 40, 7, 36),
+        ("H1", 500, [77, 3], (1,), "amuse", 3, 200, [77, 3], 32),
+        ("S5", 3000, [5, 1], range(1, 13), "sobi", 3, 20, 2, 1),
+    ]
+
+    @pytest.mark.parametrize("case", PINNED,
+                             ids=["d1-q3", "d1-q5", "d1-q7", "h1-amuse", "s5-sobi12"])
+    def test_pinned_counts(self, case):
+        name, n, draw, lags, method, q, b_reps, seed, count = case
+        x = simulate_setting(make_setting(name), n, draw)[0]
+        ts = bootstrap_noise_test(x, lags, q, method, b_reps=b_reps, seed=seed)
+        assert ts.p_value == (1 + count) / (b_reps + 1)
+
+    def test_pinned_estimate(self):
+        x = simulate_setting(make_setting("D1"), 1000, [12, 0])[0]
+        est = estimate_dimension(x, range(1, 7), method="sobi",
+                                 test_kind="bootstrap", b_reps=30, seed=1)
+        assert est.d_hat == 5
+        assert [(t.q, t.p_value) for t in est.trace] == [
+            (5, 9 / 31), (2, 1 / 31), (4, 1 / 31)]
+
+    def test_chunk_size_bounds_memory(self):
+        from sosdim.dimtest import _CHUNK_BYTES, _chunk_reps
+
+        # D1-sized replicates share a chunk; a 50,000 x 20 replicate (8 MB)
+        # is larger than the budget and goes alone, never all 200 at once.
+        for p, T, b_reps in [(10, 2000, 25), (10, 2000, 200), (5, 50, 3)]:
+            b = _chunk_reps(p, T, b_reps)
+            assert 1 <= b <= b_reps
+            assert b * 8 * p * T <= _CHUNK_BYTES
+            assert b == b_reps or (b + 1) * 8 * p * T > _CHUNK_BYTES
+        assert _chunk_reps(20, 50_000, 200) == 1
 
     def test_close_to_asymptotic_on_null(self):
         # Same replicates through both tests; rejection rates within 0.03.

@@ -90,14 +90,20 @@ class TestGeneralizedEig:
         rng = np.random.default_rng(31)
         for p in range(1, 13):
             if diagonal:
-                h = np.diag(rng.choice([-2.0, -1.0, 0.0, 1.0, 2.0], size=p))
+                hs = np.array([np.diag(rng.choice([-2.0, -1.0, 0.0, 1.0, 2.0], size=p))
+                               for _ in range(3)])
             else:
-                a = rng.standard_normal((p, p))
-                h = (a + a.T) / 2.0
-            (w, u), (w_ref, u_ref) = _ordered_eigh(h), reference(h)
-            assert np.array_equal(w, w_ref)
-            assert np.array_equal(u, u_ref)
-            assert u.strides == u_ref.strides
+                a = rng.standard_normal((3, p, p))
+                hs = (a + a.transpose(0, 2, 1)) / 2.0
+            # Each matrix alone, and the three as one batch.
+            batch = _ordered_eigh(hs)
+            for i, h in enumerate(hs):
+                (w, u), (w_ref, u_ref) = _ordered_eigh(h), reference(h)
+                assert np.array_equal(w, w_ref)
+                assert np.array_equal(u, u_ref)
+                assert u.strides == u_ref.strides
+                assert np.array_equal(batch[0][i], w_ref)
+                assert np.array_equal(batch[1][i], u_ref)
 
 
 class TestJointDiagonalize:

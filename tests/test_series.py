@@ -159,6 +159,36 @@ class TestSymInvSqrt:
         with pytest.raises(NearSingularCovarianceError, match="eigenvalue"):
             sym_inv_sqrt(s)
 
+    @pytest.mark.parametrize("shape", [(2, 3), (3,), (2, 2, 2)],
+                             ids=["non-square", "1-d", "3-d"])
+    def test_only_one_square_matrix(self, shape):
+        for f in (sym_inv_sqrt, symmetrize):
+            with pytest.raises(InvalidInputError, match="square matrix"):
+                f(np.ones(shape))
+
+    @pytest.mark.parametrize("bad", [0, 2], ids=["first", "last"])
+    def test_batch_floor_names_the_singular_matrix(self, bad):
+        # Every matrix of a batch is held to the floor, and the error names
+        # the eigenvalues of the first one at or below it, as
+        # sym_inv_sqrt names those of its one matrix.
+        stack = np.array([np.diag([2.0, 1.0]), np.diag([3.0, 0.5]),
+                          np.diag([4.0, 2.0])])
+        stack[bad] = np.diag([5.0, 5e-13])
+        with pytest.raises(NearSingularCovarianceError) as alone:
+            sym_inv_sqrt(stack[bad])
+        with pytest.raises(NearSingularCovarianceError) as batched:
+            series_module._inv_sqrt(stack[None])
+        assert str(batched.value) == str(alone.value)
+        assert "5.000000e-13" in str(batched.value)
+
+    def test_batch_is_the_matrices_one_at_a_time(self):
+        rng = np.random.default_rng(16)
+        a = rng.standard_normal((2, 3, 4, 4))
+        s = a @ np.swapaxes(a, -1, -2) + np.eye(4)
+        got = series_module._inv_sqrt(s)
+        for i in np.ndindex(2, 3):
+            assert np.array_equal(got[i], sym_inv_sqrt(s[i]))
+
 
 class TestStandardizedAutocovs:
     def test_white_noise_small_norms(self):
@@ -209,6 +239,23 @@ class TestStandardizedAutocovs:
             want = symmetrize(ref @ symmetrize(sample_autocov(x, t)) @ ref)
             assert np.allclose(mat, want, rtol=0, atol=1e-13)
 
+    def test_batch_is_the_series_one_at_a_time(self):
+        # A time-major (b, p, T) batch gives, series by series, the whitener
+        # and stack of that series alone: a bootstrap's counts do not depend
+        # on how its replicates are chunked.
+        rng = np.random.default_rng(17)
+        xt = np.cumsum(rng.standard_normal((5, 3, 400)), axis=-1) * 0.05
+        xt += rng.standard_normal((5, 3, 400))
+        lags = LagSet((1, 2, 5))
+        m, h = series_module._whiten(xt, lags)
+        assert m.shape == (5, 3, 3) and h.shape == (5, 3, 3, 3)
+        for i in range(5):
+            mi, hi = series_module._whiten(xt[i], lags)
+            assert np.array_equal(m[i], mi) and np.array_equal(h[i], hi)
+            ref = standardized_autocovs(series(xt[i].T), lags)
+            assert np.allclose(m[i], ref[0], rtol=0, atol=1e-13)
+            assert np.allclose(h[i], ref[1], rtol=0, atol=1e-13)
+
     def test_kernel_errors(self):
         x = series(np.random.default_rng(15).standard_normal((20, 2)))
         with pytest.raises(LagTooLargeError, match="max lag 20"):
@@ -216,6 +263,9 @@ class TestStandardizedAutocovs:
         collinear = series(np.outer(np.arange(20.0), [1.0, 2.0]))
         with pytest.raises(NearSingularCovarianceError):
             standardized_autocovs(collinear, LagSet((1,)))
+        batch = np.stack([x.values.T, collinear.values.T, x.values.T])
+        with pytest.raises(NearSingularCovarianceError):
+            series_module._whiten(batch, LagSet((1,)))
 
 
 class TestCsv:
