@@ -81,9 +81,7 @@ def sobi(x: MultiSeries, lags) -> UnmixingResult:
     which are the pseudo_sums. The white-noise tests do not use this
     rotation; they run on the energy basis of the fit's H.
     """
-    if not isinstance(lags, LagSet):
-        lags = LagSet(tuple(lags))
-    m, h = standardized_autocovs(x, lags)
+    lags, m, h = _whitened(x, lags, "sobi")
     jd = order_by_pseudo_eigenvalues(joint_diagonalize(h))
     return UnmixingResult(
         gamma=jd.U.T @ m,

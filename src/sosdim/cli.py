@@ -12,6 +12,7 @@ import json
 import os
 import sys
 import time
+from functools import lru_cache
 
 import numpy as np
 
@@ -107,6 +108,10 @@ def build_parser() -> argparse.ArgumentParser:
                      help="replicate pool size; results are thread-count independent")
     _add_common(sim)
     return parser
+
+
+#: main's parser, built once per process.
+_parser = lru_cache(maxsize=None)(build_parser)
 
 
 def _resolve_lags(args):
@@ -206,12 +211,9 @@ def cmd_test(args) -> int:
 def cmd_simulate(args) -> int:
     # Imported here: sosdim.simulate loads scipy.signal, which the other
     # subcommands do not need.
-    from .simulate import SETTING_NAMES, dimension_table, make_setting, rejection_table
+    from .simulate import dimension_table, make_setting, rejection_table
 
-    if args.setting not in SETTING_NAMES:
-        raise InvalidInputError(
-            f"unknown setting: {args.setting!r}; expected one of {SETTING_NAMES}"
-        )
+    setting = make_setting(args.setting)
     if args.reps < 1:
         raise InvalidInputError("--reps must be >= 1")
     if args.threads < 1:
@@ -221,7 +223,6 @@ def cmd_simulate(args) -> int:
     except ValueError:
         raise InvalidInputError(f"bad sample-size list: {args.n!r}") from None
     methods = tuple(args.methods.split(","))
-    setting = make_setting(args.setting)
     seed = _seed(args)
     start = time.perf_counter()
     if args.table == "rejection":
@@ -252,9 +253,8 @@ def cmd_simulate(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_INPUT if exc.code not in (0, None) else EXIT_OK
     try:

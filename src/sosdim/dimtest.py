@@ -43,7 +43,7 @@ import numpy as np
 
 from .bss import UnmixingResult, _energy_basis, _whitened
 from .errors import InvalidInputError
-from .series import LagSet, MultiSeries, _whiten
+from .series import LagSet, MultiSeries, _symmetrized, _whiten
 
 
 @dataclass(frozen=True)
@@ -77,8 +77,7 @@ def _m_hat(h: np.ndarray, u: np.ndarray) -> np.ndarray:
     autocovariance stack h on its energy basis u; a (..., k, p, p) batch of
     stacks and (..., p, p) of bases give (..., p)."""
     ub = u[..., None, :, :]
-    g = ub.swapaxes(-1, -2) @ h @ ub
-    sq = (((g + g.swapaxes(-1, -2)) / 2.0) ** 2).sum(axis=-3)
+    sq = (_symmetrized(ub.swapaxes(-1, -2) @ h @ ub) ** 2).sum(axis=-3)
     # tail[..., q] sums sq over the trailing block [q:, q:].
     tail = (sq[..., ::-1, ::-1].cumsum(axis=-2).cumsum(axis=-1)
             .diagonal(0, -2, -1)[..., ::-1])
@@ -285,7 +284,8 @@ def bootstrap_noise_test(
     energy basis are resampled jointly over time with replacement, and the
     statistic is recomputed per replicate.
 
-    p-value uses the (1 + count) / (B + 1) convention.
+    p-value uses the (1 + count) / (B + 1) convention. seed=None draws
+    fresh entropy, as numpy does.
     """
     return _noise_test(x, lags, q, method, "bootstrap", b_reps, seed)
 
@@ -328,7 +328,8 @@ def estimate_dimension(
     backward: q + 1 for the largest q with p_q < alpha (0 if none).
     divide_and_conquer: binary search for the change point, assuming the
     rejection pattern is monotone in q; a violated pattern falls back to
-    the forward rule over the evaluated trace.
+    the forward rule over the evaluated trace. A bootstrap with seed=None
+    draws fresh entropy, as numpy does.
     """
     lags, w, h = _whitened(x, lags, method)
     return _dimension_estimate(x, lags, w, h, method, alpha, strategy,
@@ -413,37 +414,39 @@ def _select_dimension(p_value, p: int, alpha: float, strategy: str):
 
 
 def _seed_int(seed) -> int:
-    if seed is None:
-        return 0
-    if isinstance(seed, (list, tuple)):
-        # Fold a composite seed into one entropy word.
-        return int(np.random.SeedSequence(list(seed)).generate_state(1)[0])
-    return int(seed)
+    """seed as one entropy word: an integer as it is; anything else, a
+    sequence or None for fresh entropy, folded by SeedSequence."""
+    if isinstance(seed, (int, np.integer)):
+        return int(seed)
+    return int(np.random.SeedSequence(seed).generate_state(1)[0])
 
+
+#: Schemas of the fit fields of every report and of one _test_entry.
+_FIT_FIELDS = {
+    "method": {"type": "string", "enum": ["amuse", "sobi"]},
+    "lags": {"type": "array", "items": {"type": "integer", "minimum": 1}},
+}
+_ENTRY_FIELDS = {
+    "q": {"type": "integer", "minimum": 0},
+    "stat": {"type": "number", "minimum": 0},
+    "df": {"type": "integer", "minimum": 1},
+    "p_value": {"type": "number", "minimum": 0, "maximum": 1},
+    "converged": {"type": "boolean"},
+}
 
 #: Stable JSON report schema for dimension estimates.
 REPORT_SCHEMA = {
     "type": "object",
     "required": ["method", "lags", "alpha", "strategy", "d_hat", "trace"],
     "properties": {
-        "method": {"type": "string", "enum": ["amuse", "sobi"]},
-        "lags": {"type": "array", "items": {"type": "integer", "minimum": 1}},
+        **_FIT_FIELDS,
         "alpha": {"type": "number", "exclusiveMinimum": 0, "exclusiveMaximum": 1},
         "strategy": {"type": "string", "enum": list(STRATEGIES)},
         "d_hat": {"type": "integer", "minimum": 0},
         "trace": {
             "type": "array",
-            "items": {
-                "type": "object",
-                "required": ["q", "stat", "df", "p_value", "converged"],
-                "properties": {
-                    "q": {"type": "integer", "minimum": 0},
-                    "stat": {"type": "number", "minimum": 0},
-                    "df": {"type": "integer", "minimum": 1},
-                    "p_value": {"type": "number", "minimum": 0, "maximum": 1},
-                    "converged": {"type": "boolean"},
-                },
-            },
+            "items": {"type": "object", "required": list(_ENTRY_FIELDS),
+                      "properties": _ENTRY_FIELDS},
         },
     },
 }
@@ -451,16 +454,8 @@ REPORT_SCHEMA = {
 #: Stable JSON report schema for a single test.
 TEST_SCHEMA = {
     "type": "object",
-    "required": ["method", "lags", "q", "stat", "df", "p_value", "converged"],
-    "properties": {
-        "method": {"type": "string", "enum": ["amuse", "sobi"]},
-        "lags": {"type": "array", "items": {"type": "integer", "minimum": 1}},
-        "q": {"type": "integer", "minimum": 0},
-        "stat": {"type": "number", "minimum": 0},
-        "df": {"type": "integer", "minimum": 1},
-        "p_value": {"type": "number", "minimum": 0, "maximum": 1},
-        "converged": {"type": "boolean"},
-    },
+    "required": [*_FIT_FIELDS, *_ENTRY_FIELDS],
+    "properties": {**_FIT_FIELDS, **_ENTRY_FIELDS},
 }
 
 

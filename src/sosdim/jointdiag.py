@@ -10,7 +10,7 @@ declared when the largest rotation angle of a sweep drops below tol.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -126,16 +126,8 @@ def order_by_pseudo_eigenvalues(result: JointDiagResult) -> JointDiagResult:
     Ties are broken by the squared diagonal at the first lag, then the
     second, and so on; remaining ties keep the original column order.
     """
-    dp = result.diag_profiles
-    sums = (dp**2).sum(axis=0)
-    perm = sorted(
-        range(dp.shape[1]),
-        key=lambda j: (-sums[j], *(-dp[t, j] ** 2 for t in range(dp.shape[0])), j),
-    )
-    return JointDiagResult(
-        result.U[:, perm],
-        dp[:, perm],
-        result.sweeps_used,
-        result.converged,
-        result.final_off_criterion,
-    )
+    sq = result.diag_profiles**2
+    # lexsort is stable and sorts by its last key first.
+    perm = np.lexsort((*-sq[::-1], -sq.sum(axis=0)))
+    return replace(result, U=result.U[:, perm],
+                   diag_profiles=result.diag_profiles[:, perm])

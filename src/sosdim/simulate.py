@@ -5,6 +5,19 @@ regenerated with the same master seed is bit-identical regardless of the
 worker count: replicate (n, rep) always draws from entropy
 [master_seed, n, rep].
 
+The named settings (make_setting; presets holds the coefficients), signals
+first, then noise, every process at unit variance. S5 is a synthetic
+stand-in for the paper's 20-channel sound recording.
+
+    name  signals                                   noise          mixing
+    H1    MA(3), AR(2), ARMA(1,1)                   2 Gaussian     identity
+    H2    MA(10), MA(15), MA(20), even lags only    2 Gaussian     identity
+    H3    3 x MA(3)                                 2 Gaussian     identity
+    D1    AR(2), AR(3), ARMA(1,1), ARMA(3,2), MA(3) 5 Gaussian     identity
+    D2    D1's first four, weak MA(1)               5 Gaussian     identity
+    D3    5 x weak MA(2)                            5 Gaussian     identity
+    S5    H1's three                                17 t(5)        uniform [0, 1]
+
 A table draws each replicate once for all of its methods and whitens
 that draw once, into the stack of the union of the methods' lags. Each
 method runs the dimtest core on its own rows of that stack, whatever the
@@ -29,7 +42,7 @@ from scipy.signal import lfilter
 
 from . import presets
 from .bss import LAG_PRESETS
-from .dimtest import STRATEGIES, _check_test_args, _estimate, _test_p
+from .dimtest import STRATEGIES, _check_q, _check_test_args, _estimate, _test_p
 from .errors import InvalidInputError, LagTooLargeError
 from .series import LagSet, MultiSeries, standardized_autocovs
 
@@ -54,6 +67,8 @@ class ProcessSpec:
             raise InvalidInputError(f"unknown process kind: {self.kind!r}")
         if self.kind == "white" and (self.ar or self.ma):
             raise InvalidInputError("white noise takes no coefficients")
+        if self.kind != "white" and not (self.ar or self.ma):
+            raise InvalidInputError(f"{self.kind} process needs coefficients")
         if self.kind == "ar" and self.ma:
             raise InvalidInputError("ar process takes no ma coefficients")
         if self.kind == "ma" and self.ar:
@@ -141,65 +156,39 @@ class SimSetting:
         return sum(not s.is_noise for s in self.processes)
 
 
-def _gauss_white():
-    return ProcessSpec("white")
+def _named_settings() -> dict:
+    ps, white = ProcessSpec, ProcessSpec("white")
+    ma3, ar2 = ps("ma", ma=presets.MA3), ps("ar", ar=presets.AR2)
+    arma11 = ps("arma", ar=presets.ARMA11_AR, ma=presets.ARMA11_MA)
+    h1_signals = (ma3, ar2, arma11)
+    d_signals = (ar2, ps("ar", ar=presets.AR3), arma11,
+                 ps("arma", ar=presets.ARMA32_AR, ma=presets.ARMA32_MA))
+    settings = {name: SimSetting(name, procs) for name, procs in {
+        "H1": h1_signals + (white,) * 2,
+        "H2": tuple(ps("ma", ma=m) for m in (presets.MA10_EVEN, presets.MA15_EVEN,
+                                             presets.MA20_EVEN)) + (white,) * 2,
+        "H3": (ma3,) * 3 + (white,) * 2,
+        "D1": d_signals + (ma3,) + (white,) * 5,
+        "D2": d_signals + (ps("ma", ma=presets.MA1_WEAK),) + (white,) * 5,
+        "D3": (ps("ma", ma=presets.MA2_WEAK),) * 5 + (white,) * 5,
+    }.items()}
+    settings["S5"] = SimSetting(
+        "S5", h1_signals + (ps("white", innovation="t", t_df=5.0),) * 17, "uniform")
+    return settings
+
+
+_SETTINGS = _named_settings()
+SETTING_NAMES = tuple(_SETTINGS)
 
 
 def make_setting(name: str) -> SimSetting:
-    """The named simulation settings (see presets for the coefficients)."""
-    ps = ProcessSpec
-    if name == "H1":
-        procs = (
-            ps("ma", ma=presets.MA3),
-            ps("ar", ar=presets.AR2),
-            ps("arma", ar=presets.ARMA11_AR, ma=presets.ARMA11_MA),
-            _gauss_white(),
-            _gauss_white(),
-        )
-    elif name == "H2":
-        procs = (
-            ps("ma", ma=presets.MA10_EVEN),
-            ps("ma", ma=presets.MA15_EVEN),
-            ps("ma", ma=presets.MA20_EVEN),
-            _gauss_white(),
-            _gauss_white(),
-        )
-    elif name == "H3":
-        procs = tuple(ps("ma", ma=presets.MA3) for _ in range(3)) + (
-            _gauss_white(),
-            _gauss_white(),
-        )
-    elif name in ("D1", "D2"):
-        last = ps("ma", ma=presets.MA3) if name == "D1" else ps(
-            "ma", ma=presets.MA1_WEAK
-        )
-        procs = (
-            ps("ar", ar=presets.AR2),
-            ps("ar", ar=presets.AR3),
-            ps("arma", ar=presets.ARMA11_AR, ma=presets.ARMA11_MA),
-            ps("arma", ar=presets.ARMA32_AR, ma=presets.ARMA32_MA),
-            last,
-        ) + tuple(_gauss_white() for _ in range(5))
-    elif name == "D3":
-        procs = tuple(ps("ma", ma=presets.MA2_WEAK) for _ in range(5)) + tuple(
-            _gauss_white() for _ in range(5)
-        )
-    elif name == "S5":
-        # Synthetic stand-in for the 20-channel sound-recording example:
-        # three autocorrelated signals plus 17 heavy-tailed noise channels,
-        # mixed by a random uniform [0, 1] matrix.
-        procs = (
-            ps("ma", ma=presets.MA3),
-            ps("ar", ar=presets.AR2),
-            ps("arma", ar=presets.ARMA11_AR, ma=presets.ARMA11_MA),
-        ) + tuple(ProcessSpec("white", innovation="t", t_df=5.0) for _ in range(17))
-        return SimSetting("S5", procs, mixing="uniform")
-    else:
-        raise InvalidInputError(f"unknown setting: {name!r}")
-    return SimSetting(name, procs)
-
-
-SETTING_NAMES = ("H1", "H2", "H3", "D1", "D2", "D3", "S5")
+    """The named simulation setting; anything but one of SETTING_NAMES is
+    an input error."""
+    try:
+        return _SETTINGS[name]
+    except (KeyError, TypeError):  # TypeError: an unhashable name
+        raise InvalidInputError(
+            f"unknown setting: {name!r}; expected one of {SETTING_NAMES}") from None
 
 
 def mix(sources: MultiSeries, mixing, seed=None):
@@ -318,20 +307,14 @@ def _dimension_entry(x, lags, w, h, entropy, alpha, strategy, test_kind, b_reps)
 
 
 def _replicate(args):
-    """entry(x, lags, w, h, entropy) of every method on the draw x of
-    replicate (n, rep), from entropy [seed, n, rep]: w is the whitener and
-    h the method's rows of the draw's stack over the union of the methods'
-    lags."""
-    setting, n, rep, seed, methods, union, entry = args
+    """entry(x, lags, w, h, entropy) of every (lags, rows) of the plan on
+    the draw x of replicate (n, rep), from entropy [seed, n, rep]: w is the
+    whitener and h the rows of the draw's stack over the union lags."""
+    setting, n, rep, seed, union, plan, entry = args
     entropy = [seed, n, rep]
     x = simulate_setting(setting, n, entropy)[0]
     w, h = standardized_autocovs(x, union)
-    out = []
-    for method in methods:
-        lags = _method_lags(method)
-        out.append(entry(x, lags, w, h[np.searchsorted(union.lags, lags.lags)],
-                         entropy))
-    return out
+    return [entry(x, lags, w, h[rows], entropy) for lags, rows in plan]
 
 
 def _cells(setting, n_list, methods, reps, seed, entry, n_jobs):
@@ -352,12 +335,15 @@ def _cells(setting, n_list, methods, reps, seed, entry, n_jobs):
         raise InvalidInputError(f"seed must be >= 0, got {seed}")
     n_list = tuple(int(n) for n in n_list)
     methods = tuple(methods)
-    union = LagSet(tuple(sorted({t for m in methods for t in _method_lags(m)})))
+    method_lags = [_method_lags(m) for m in methods]
+    union = LagSet(tuple(sorted({t for lags in method_lags for t in lags})))
+    plan = tuple((lags, np.searchsorted(union.lags, lags.lags))
+                 for lags in method_lags)
     for n in n_list:
         if union.max >= n:
             raise LagTooLargeError(
                 f"max lag {union.max} must be smaller than series length {n}")
-    tasks = [(setting, n, rep, seed, methods, union, entry)
+    tasks = [(setting, n, rep, seed, union, plan, entry)
              for n in n_list for rep in range(reps)]
     workers = min(n_jobs, len(tasks))
     parallel = workers > 1
@@ -385,8 +371,7 @@ def rejection_table(
 ) -> FrequencyTable:
     """Fraction of replicates rejecting H_{0q} per (n, method) cell."""
     _check_test_args(alpha, test_kind, b_reps)
-    if not 0 <= q <= setting.p - 1:
-        raise InvalidInputError(f"q must be in [0, {setting.p - 1}], got {q}")
+    q = _check_q(q, setting.p)
     n_list, methods, out, timings = _cells(
         setting, n_list, methods, reps, seed,
         partial(_rejection_entry, q=q, alpha=alpha, test_kind=test_kind,

@@ -252,7 +252,8 @@ class TestSimulate:
             "simulate", "--setting", "Z9", "--n", "200", "--reps", "2",
         ], capsys)
         assert code == EXIT_INPUT
-        assert "unknown setting" in err
+        assert err == ("error: unknown setting: 'Z9'; expected one of "
+                       "('H1', 'H2', 'H3', 'D1', 'D2', 'D3', 'S5')\n")
 
     def test_zero_reps(self, capsys):
         code, _, err = run([
@@ -304,6 +305,15 @@ class TestSimulate:
 
 
 class TestEntryPoint:
+    def test_one_parser_per_process(self, noise_csv, capsys):
+        import sosdim.cli
+
+        sosdim.cli._parser.cache_clear()
+        for argv in (["estimate", "--input", noise_csv],
+                     ["test", "--input", noise_csv, "--q", "1"]):
+            assert run(argv, capsys)[0] == EXIT_OK
+        assert sosdim.cli._parser.cache_info().misses == 1
+
     def test_module_invocation(self, tmp_path):
         rng = np.random.default_rng(6)
         path = tmp_path / "x.csv"

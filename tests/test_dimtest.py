@@ -238,6 +238,26 @@ class TestBootstrap:
                 estimate_dimension(x, (1,), method="amuse",
                                    test_kind="bootstrap", seed=seed)
 
+    @pytest.mark.parametrize("call", ["test", "estimate"])
+    def test_seed_none_is_fresh_entropy(self, monkeypatch, call):
+        # As in numpy, seed=None asks SeedSequence for fresh entropy; it is
+        # not a fixed seed.
+        seen = []
+
+        class Recording(np.random.SeedSequence):
+            def __init__(self, entropy=None, **kwargs):
+                seen.append(entropy)
+                super().__init__(entropy, **kwargs)
+
+        monkeypatch.setattr(np.random, "SeedSequence", Recording)
+        x = white_series(300, 3, 15)
+        if call == "test":
+            bootstrap_noise_test(x, (1,), 1, "amuse", b_reps=3, seed=None)
+        else:
+            estimate_dimension(x, (1,), method="amuse", test_kind="bootstrap",
+                               b_reps=3, seed=None)
+        assert seen and seen[0] is None
+
     def test_asymptotic_ignores_the_seed(self):
         x = white_series(300, 3, 14)
         est = estimate_dimension(x, (1,), method="amuse", seed=-1)

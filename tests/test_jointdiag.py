@@ -238,6 +238,33 @@ class TestOrdering:
         out = order_by_pseudo_eigenvalues(self.make_result(profiles))
         assert np.allclose(out.diag_profiles, [[0.8, 0.2], [0.2, 0.8]])
 
+    @staticmethod
+    def reference_order(dp):
+        """The reference order: a Python sort on one key per column."""
+        sums = (dp**2).sum(axis=0)
+        return sorted(
+            range(dp.shape[1]),
+            key=lambda j: (-sums[j], *(-dp[t, j] ** 2 for t in range(dp.shape[0])), j),
+        )
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_matches_the_reference_sort(self, seed):
+        # Values from a small grid, signs flipped, so the sums tie often,
+        # and whole columns copied so that ties also reach the first lag.
+        rng = np.random.default_rng(seed)
+        k, p = rng.integers(1, 5), rng.integers(1, 9)
+        dp = rng.choice([0.0, 0.5, 1.0, 1.5], size=(k, p))
+        dp *= rng.choice([-1.0, 1.0], size=(k, p))
+        dp[:, rng.integers(0, p, size=p // 2)] = dp[:, rng.integers(0, p, size=p // 2)]
+        if k > 1:
+            dp[[0, 1], -1] = dp[[1, 0], 0]  # equal sums, different first lag
+        res = JointDiagResult(rng.standard_normal((p, p)), dp, 3, False, 0.25)
+        perm = self.reference_order(dp)
+        out = order_by_pseudo_eigenvalues(res)
+        assert np.array_equal(out.diag_profiles, dp[:, perm])
+        assert np.array_equal(out.U, res.U[:, perm])
+        assert (out.sweeps_used, out.converged, out.final_off_criterion) == (3, False, 0.25)
+
     def test_full_tie_keeps_original_order(self):
         profiles = [[0.5, 0.5], [0.1, 0.1]]
         out = order_by_pseudo_eigenvalues(self.make_result(profiles))

@@ -43,6 +43,13 @@ class TestProcessSpec:
         assert ProcessSpec("white").is_noise
         assert not ProcessSpec("ma", ma=(0.5,)).is_noise
 
+    @pytest.mark.parametrize("kind", ["ar", "ma", "arma"])
+    def test_signal_kind_needs_coefficients(self, kind):
+        # With no coefficients the process is white noise, yet it would
+        # count towards a setting's signal dimension.
+        with pytest.raises(InvalidInputError, match="needs coefficients"):
+            ProcessSpec(kind)
+
 
 class TestTheory:
     def test_psi_weights_ma(self):
@@ -120,6 +127,43 @@ class TestGenerate:
 
 
 class TestSettings:
+    # Every named setting written out in literals: its mixing and, per process,
+    # (kind, ar, ma, innovation, t_df).
+    WHITE = ("white", (), (), "gaussian", 5.0)
+    MA3 = ("ma", (), (0.6, 0.4, 0.2), "gaussian", 5.0)
+    AR2 = ("ar", (0.5, -0.3), (), "gaussian", 5.0)
+    ARMA11 = ("arma", (0.8,), (-0.2,), "gaussian", 5.0)
+    D_SIGNALS = [AR2, ("ar", (0.4, -0.2, 0.1), (), "gaussian", 5.0), ARMA11,
+                 ("arma", (0.3, -0.2, 0.1), (0.5, 0.3), "gaussian", 5.0)]
+    PINNED = {
+        "H1": ("identity", [MA3, AR2, ARMA11] + [WHITE] * 2),
+        "H2": ("identity", [
+            ("ma", (), (0.0, 0.5, 0.0, 0.4, 0.0, 0.3, 0.0, 0.2, 0.0, 0.1),
+             "gaussian", 5.0),
+            ("ma", (), (0.0, 0.45, 0.0, 0.4, 0.0, 0.35, 0.0, 0.3, 0.0, 0.25,
+                        0.0, 0.2, 0.0, 0.15, 0.1), "gaussian", 5.0),
+            ("ma", (), (0.0, 0.4, 0.0, 0.36, 0.0, 0.32, 0.0, 0.28, 0.0, 0.24,
+                        0.0, 0.2, 0.0, 0.16, 0.0, 0.12, 0.0, 0.08, 0.0, 0.04),
+             "gaussian", 5.0),
+        ] + [WHITE] * 2),
+        "H3": ("identity", [MA3] * 3 + [WHITE] * 2),
+        "D1": ("identity", D_SIGNALS + [MA3] + [WHITE] * 5),
+        "D2": ("identity", D_SIGNALS + [("ma", (), (0.1,), "gaussian", 5.0)]
+               + [WHITE] * 5),
+        "D3": ("identity", [("ma", (), (0.1, 0.1), "gaussian", 5.0)] * 5
+               + [WHITE] * 5),
+        "S5": ("uniform", [MA3, AR2, ARMA11]
+               + [("white", (), (), "t", 5.0)] * 17),
+    }
+
+    def test_pinned_recipes(self):
+        assert SETTING_NAMES == tuple(self.PINNED)
+        for name, (mixing, procs) in self.PINNED.items():
+            s = make_setting(name)
+            assert s.name == name and s.mixing == mixing, name
+            assert [(sp.kind, sp.ar, sp.ma, sp.innovation, sp.t_df)
+                    for sp in s.processes] == procs, name
+
     def test_dimensions(self):
         expect = {
             "H1": (5, 3), "H2": (5, 3), "H3": (5, 3),
@@ -149,6 +193,14 @@ class TestSettings:
     def test_unknown_setting(self):
         with pytest.raises(InvalidInputError):
             make_setting("H9")
+
+    @pytest.mark.parametrize("name", ["H9", ["H1"], None, 1],
+                             ids=["unknown", "unhashable", "none", "int"])
+    def test_non_name_lists_the_settings(self, name):
+        with pytest.raises(InvalidInputError, match=(
+                r"unknown setting: .*; expected one of "
+                r"\('H1', 'H2', 'H3', 'D1', 'D2', 'D3', 'S5'\)")):
+            make_setting(name)
 
 
 class TestMix:
@@ -402,6 +454,13 @@ class TestTables:
                 d_hats[est.d_hat] += 1
             assert rej.values[0, j] == hits / reps
             assert np.array_equal(dim.freq[0, j], d_hats / reps)
+
+    def test_float_q_is_the_integer_q(self):
+        s = make_setting("H1")
+        args = (s, [200], ["amuse", "sobi6"])
+        common = {"reps": 4, "seed": 2}
+        assert np.array_equal(rejection_table(*args, q=3.0, **common).values,
+                              rejection_table(*args, q=3, **common).values)
 
     def test_unknown_method_rejected(self):
         s = make_setting("H1")
