@@ -66,7 +66,6 @@ def _add_data_flags(sub):
     sub.add_argument("--lag-preset", choices=sorted(LAG_PRESETS), default=None)
     sub.add_argument("--lags", default=None,
                      help="explicit comma-separated lag list, e.g. 1,2,3")
-    sub.add_argument("--method", choices=("amuse", "sobi"), default=None)
     _add_test_flags(sub)
 
 
@@ -114,19 +113,24 @@ def build_parser() -> argparse.ArgumentParser:
 _parser = lru_cache(maxsize=None)(build_parser)
 
 
-def _resolve_lags(args):
+def _fit_args(args):
+    """(series, lags, method, seed) of an estimate or test call. Every
+    argument is checked before the CSV is read. The lags are --lags or
+    --lag-preset (sobi6 if neither), and the method is amuse at one lag and
+    sobi otherwise."""
+    _check_test_args(args.test_kind, args.bootstrap_reps, None, args.alpha)
     if args.lags is not None and args.lag_preset is not None:
         raise InvalidInputError("--lags and --lag-preset are mutually exclusive")
-    if args.lags is not None:
+    if args.lags is None:
+        lags = LAG_PRESETS[args.lag_preset or "sobi6"]
+    else:
         try:
             lags = tuple(int(t) for t in args.lags.split(","))
         except ValueError:
             raise InvalidInputError(f"bad lag list: {args.lags!r}") from None
-        method = args.method or ("amuse" if len(lags) == 1 else "sobi")
-        return LagSet(lags), method
-    preset = args.lag_preset or "sobi6"
-    method = args.method or ("amuse" if preset == "amuse" else "sobi")
-    return LagSet(LAG_PRESETS[preset]), method
+    lags, seed = LagSet(lags), _seed(args)
+    x = load_csv(args.input, header=args.header)
+    return x, lags, "amuse" if len(lags) == 1 else "sobi", seed
 
 
 def _emit(text: str, output):
@@ -141,71 +145,45 @@ def _emit_json(payload: dict, output):
     _emit(json.dumps(payload, indent=2, sort_keys=True) + "\n", output)
 
 
-def _emit_trace_csv(entries, output):
-    """One q,stat,df,p_value,converged row per _test_entry dict."""
-    lines = ["q,stat,df,p_value,converged"]
-    for t in entries:
-        lines.append(
-            f"{t['q']},{t['stat']:.12g},{t['df']},{t['p_value']:.12g},"
-            f"{str(t['converged']).lower()}"
-        )
-    _emit("\n".join(lines) + "\n", output)
-
-
-def cmd_estimate(args) -> int:
-    _check_test_args(args.alpha, args.test_kind, args.bootstrap_reps)
-    x = load_csv(args.input, header=args.header)
-    lags, method = _resolve_lags(args)
-    seed = _seed(args)
-    est = estimate_dimension(
-        x,
-        lags,
-        alpha=args.alpha,
-        strategy=args.strategy,
-        method=method,
-        test_kind=args.test_kind,
-        b_reps=args.bootstrap_reps,
-        seed=seed,
-    )
-    report = dimension_report(est)
+def _emit_report(args, report: dict, entries: list, text_lines: list) -> int:
+    """Write an estimate or test report in --format: the JSON report, one
+    q,stat,df,p_value,converged CSV row per _test_entry dict of entries, or
+    the text lines."""
     if args.format == "json":
         _emit_json(report, args.output)
-    elif args.format == "csv":
-        _emit_trace_csv(report["trace"], args.output)
-    else:
-        lines = [
-            f"estimated signal dimension: {est.d_hat} "
-            f"(method={est.method}, strategy={est.strategy}, alpha={est.alpha})"
-        ]
-        for t in est.trace:
-            lines.append(
-                f"  q={t.q}: stat={t.scaled_stat:.4f} df={t.df} p={t.p_value:.4g}"
-            )
-        _emit("\n".join(lines) + "\n", args.output)
+        return EXIT_OK
+    lines = text_lines
+    if args.format == "csv":
+        lines = ["q,stat,df,p_value,converged"] + [
+            f"{t['q']},{t['stat']:.12g},{t['df']},{t['p_value']:.12g},"
+            f"{str(t['converged']).lower()}" for t in entries]
+    _emit("\n".join(lines) + "\n", args.output)
     return EXIT_OK
 
 
+def cmd_estimate(args) -> int:
+    x, lags, method, seed = _fit_args(args)
+    est = estimate_dimension(x, lags, alpha=args.alpha, strategy=args.strategy,
+                             method=method, test_kind=args.test_kind,
+                             b_reps=args.bootstrap_reps, seed=seed)
+    report = dimension_report(est)
+    return _emit_report(args, report, report["trace"], [
+        f"estimated signal dimension: {est.d_hat} "
+        f"(method={est.method}, strategy={est.strategy}, alpha={est.alpha})",
+        *(f"  q={t.q}: stat={t.scaled_stat:.4f} df={t.df} p={t.p_value:.4g}"
+          for t in est.trace)])
+
+
 def cmd_test(args) -> int:
-    _check_test_args(args.alpha, args.test_kind, args.bootstrap_reps)
-    x = load_csv(args.input, header=args.header)
-    lags, method = _resolve_lags(args)
-    seed = _seed(args)
+    x, lags, method, seed = _fit_args(args)
     if args.test_kind == "asymptotic":
         ts = noise_test(x, lags, args.q, method)
     else:
         ts = bootstrap_noise_test(x, lags, args.q, method, args.bootstrap_reps, seed)
     report = test_report(ts)
-    if args.format == "json":
-        _emit_json(report, args.output)
-    elif args.format == "csv":
-        _emit_trace_csv([report], args.output)
-    else:
-        _emit(
-            f"H0(q={ts.q}): stat={ts.scaled_stat:.4f} df={ts.df} "
-            f"p={ts.p_value:.4g} method={ts.method}\n",
-            args.output,
-        )
-    return EXIT_OK
+    return _emit_report(args, report, [report], [
+        f"H0(q={ts.q}): stat={ts.scaled_stat:.4f} df={ts.df} "
+        f"p={ts.p_value:.4g} method={ts.method}"])
 
 
 def cmd_simulate(args) -> int:

@@ -13,13 +13,14 @@ adapts to a block of white noise and would make every q above the true
 signal count reject too often; the tests therefore never run the
 diagonalizer.
 
-Every p-value comes from one core that works from the series, its lags,
-its whitener S0^{-1/2} and its stack H, and returns numbers: _test_p for
-one q, _estimate for a strategy's sequence of q. The public functions and
-both kinds of simulation table call it; only the public functions build
-TestResult and DimensionEstimate. All q come from the one stack
-G_tau = W^T H_tau W of the full energy basis W: the noise block of q is
-the trailing (p - q) x (p - q) block of every G_tau, so suffix sums of
+Every p-value comes from one core, _p_values, that works from the series,
+its lags, its whitener S0^{-1/2} and its stack H, and returns numbers: the
+statistics of every q and a function of q that gives its p-value. The
+public functions and both kinds of simulation table call it, and check
+their arguments once, in _check_test_args; only the public functions build
+TestResult and DimensionEstimate. All q come from the one stack G_tau =
+W^T H_tau W of the full energy basis W: the noise block of q is the
+trailing (p - q) x (p - q) block of every G_tau, so suffix sums of
 sum_tau G_tau^2 give every statistic in one pass (_chi2_tests). Every
 df is an integer, so each p-value is a finite sum of Poisson-like terms
 (_chi2_sf), with erfc for odd df, and needs no special-function library.
@@ -157,19 +158,6 @@ def _result(tests, q: int, p_value, lags: LagSet, method: str) -> TestResult:
                       p_value=float(p_value), lags=lags, method=method)
 
 
-def _bootstrap_sources(x: MultiSeries, w: np.ndarray, u: np.ndarray,
-                       b_reps: int, seed) -> np.ndarray:
-    """The centred sources (x - xbar) @ (w @ u) on the energy basis u of
-    the stack whitened by w, which a bootstrap resamples, time-major as a
-    C-contiguous p x T array. Fewer than one replicate or a negative seed
-    (or seed word) is an input error."""
-    if b_reps < 1:
-        raise InvalidInputError("bootstrap replicate count must be >= 1")
-    if seed is not None and np.any(np.asarray(seed, dtype=object) < 0):
-        raise InvalidInputError(f"seed must be non-negative, got {seed!r}")
-    return np.ascontiguousarray(((x.values - x.values.mean(axis=0)) @ (w @ u)).T)
-
-
 #: Bytes of resampled series a bootstrap whitens in one kernel call. A
 #: larger chunk pays the per-call cost of the small-matrix steps fewer
 #: times, but the chunk and its centred copy are fresh memory in every call
@@ -188,8 +176,8 @@ def _chunk_reps(p: int, T: int, b_reps: int) -> int:
 def _bootstrap_p(zt: np.ndarray, lags: LagSet, q: int, m_hat: float,
                  b_reps: int, seed) -> float:
     """Bootstrap p-value of the observed m_hat of q, resampling the time
-    points of zt[q:], where zt holds the _bootstrap_sources. Replicate c
-    resamples with child c of SeedSequence(seed), and the replicates are
+    points of zt[q:], where zt holds the sources (see _p_values). Replicate
+    c resamples with child c of SeedSequence(seed), and the replicates are
     whitened in chunks of _chunk_reps, one kernel call each."""
     p, n = zt.shape
     children = np.random.SeedSequence(seed).spawn(b_reps)
@@ -206,32 +194,34 @@ def _bootstrap_p(zt: np.ndarray, lags: LagSet, q: int, m_hat: float,
     return (1 + count) / (b_reps + 1)
 
 
-def _test_p(x: MultiSeries, lags: LagSet, w: np.ndarray, h: np.ndarray, q: int,
-            test_kind: str, b_reps: int, seed):
-    """(p-value of q, the _chi2_tests arrays of h), for the stack h of x
-    whitened by w: asymptotic, or the bootstrap of b_reps replicates seeded
-    by seed."""
+def _p_values(x: MultiSeries, lags: LagSet, w: np.ndarray, h: np.ndarray,
+              test_kind: str, b_reps: int, seed_of):
+    """(the _chi2_tests arrays of h, p_value(q)) for the stack h of x
+    whitened by w: the asymptotic p-value of q, or its bootstrap of b_reps
+    replicates seeded by seed_of(q). The bootstrap resamples the centred
+    sources (x - xbar) @ (w @ u) on the energy basis u, time-major as a
+    C-contiguous p x T array. The arguments are not checked."""
     tests = _chi2_tests(h, x.T)
     if test_kind == "asymptotic":
-        return tests[4][q], tests
-    zt = _bootstrap_sources(x, w, tests[0], b_reps, seed)
-    return _bootstrap_p(zt, lags, q, tests[1][q], b_reps, seed), tests
+        return tests, tests[4].__getitem__
+    zt = np.ascontiguousarray(((x.values - x.values.mean(axis=0)) @ (w @ tests[0])).T)
+
+    def p_value(q: int) -> float:
+        return _bootstrap_p(zt, lags, q, tests[1][q], b_reps, seed_of(q))
+
+    return tests, p_value
 
 
 def _estimate(x: MultiSeries, lags: LagSet, w: np.ndarray, h: np.ndarray,
               alpha: float, strategy: str, test_kind: str, b_reps: int, seed):
     """(_select_dimension's (d_hat, {q: p}, monotone), the _chi2_tests arrays
-    of h), as _test_p; the bootstrap of q is seeded by [seed folded into one
-    word, q]."""
-    tests = _chi2_tests(h, x.T)
-    p_value = tests[4].__getitem__
-    if test_kind == "bootstrap":
-        zt = _bootstrap_sources(x, w, tests[0], b_reps, seed)
-        word = _seed_int(seed)
-
-        def p_value(q: int) -> float:
-            return _bootstrap_p(zt, lags, q, tests[1][q], b_reps, [word, q])
-
+    of h), as _p_values. The bootstrap of q is seeded by [word, q]: word is
+    an integer seed as it is, and any other seed (a sequence, or None for
+    fresh entropy) folded into one word by SeedSequence."""
+    word = seed
+    if test_kind == "bootstrap" and not isinstance(seed, (int, np.integer)):
+        word = int(np.random.SeedSequence(seed).generate_state(1)[0])
+    tests, p_value = _p_values(x, lags, w, h, test_kind, b_reps, lambda q: [word, q])
     return _select_dimension(p_value, len(w), alpha, strategy), tests
 
 
@@ -261,10 +251,11 @@ def test_statistic(fit: UnmixingResult, q: int, T: int) -> TestResult:
 
 
 def _noise_test(x, lags, q, method, test_kind, b_reps=0, seed=None) -> TestResult:
+    _check_test_args(test_kind, b_reps, seed)
     lags, w, h = _whitened(x, lags, method)
     q = _check_q(q, x.p)
-    p_value, tests = _test_p(x, lags, w, h, q, test_kind, b_reps, seed)
-    return _result(tests, q, p_value, lags, method)
+    tests, p_value = _p_values(x, lags, w, h, test_kind, b_reps, lambda _: seed)
+    return _result(tests, q, p_value(q), lags, method)
 
 
 def noise_test(x: MultiSeries, lags, q: int, method: str = "sobi") -> TestResult:
@@ -290,15 +281,31 @@ def bootstrap_noise_test(
     return _noise_test(x, lags, q, method, "bootstrap", b_reps, seed)
 
 
-def _check_test_args(alpha: float, test_kind: str, b_reps: int) -> None:
-    """Reject an alpha outside (0, 1), an unknown test kind and a bootstrap
-    of fewer than one replicate."""
+def _check_test_args(test_kind: str, b_reps: int, seed, alpha: float = 0.05,
+                     strategy: str = STRATEGIES[-1], table: bool = False) -> None:
+    """Reject an alpha outside (0, 1), an unknown test kind or strategy (a
+    single test has neither alpha nor strategy: the defaults pass), a
+    bootstrap replicate count that is not an integer >= 1, and a seed that
+    is not None, an integer >= 0 or a 1-D sequence of them (a bootstrap's)
+    or not an integer >= 0 (a table's master seed, which seeds every draw)."""
     if not 0.0 < alpha < 1.0:
         raise InvalidInputError(f"alpha must be in (0, 1), got {alpha}")
     if test_kind not in ("asymptotic", "bootstrap"):
         raise InvalidInputError(f"unknown test kind: {test_kind!r}")
+    if test_kind == "bootstrap" and not isinstance(b_reps, (int, np.integer)):
+        raise InvalidInputError(f"bootstrap replicate count must be an integer, got {b_reps!r}")
     if test_kind == "bootstrap" and b_reps < 1:
         raise InvalidInputError("bootstrap replicate count must be >= 1")
+    if strategy not in STRATEGIES:
+        raise InvalidInputError(f"unknown strategy: {strategy!r}")
+    if table or test_kind == "bootstrap" and seed is not None:
+        words = np.asarray(seed, dtype=object)
+        if words.ndim > (0 if table else 1) or not all(
+                isinstance(v, (int, np.integer)) for v in words.flat):
+            what = "an integer" if table else "None, an integer or a 1-D sequence of them"
+            raise InvalidInputError(f"seed must be {what}, got {seed!r}")
+        if any(v < 0 for v in words.flat):
+            raise InvalidInputError(f"seed must be non-negative, got {seed!r}")
 
 
 def _is_monotone(p_values: dict, alpha: float) -> bool:
@@ -359,9 +366,7 @@ def estimate_dimension_from_fit(
 
 def _dimension_estimate(x, lags, w, h, method, alpha, strategy, test_kind,
                         b_reps, seed) -> DimensionEstimate:
-    _check_test_args(alpha, test_kind, b_reps)
-    if strategy not in STRATEGIES:
-        raise InvalidInputError(f"unknown strategy: {strategy!r}")
+    _check_test_args(test_kind, b_reps, seed, alpha, strategy)
     if len(w) != x.p:
         raise InvalidInputError("fit and series dimensions disagree")
     (d_hat, seen, monotone), tests = _estimate(
@@ -411,14 +416,6 @@ def _select_dimension(p_value, p: int, alpha: float, strategy: str):
             monotone = False
             d_hat = min((q for q, pv in seen.items() if pv >= alpha), default=p)
     return d_hat, seen, monotone
-
-
-def _seed_int(seed) -> int:
-    """seed as one entropy word: an integer as it is; anything else, a
-    sequence or None for fresh entropy, folded by SeedSequence."""
-    if isinstance(seed, (int, np.integer)):
-        return int(seed)
-    return int(np.random.SeedSequence(seed).generate_state(1)[0])
 
 
 #: Schemas of the fit fields of every report and of one _test_entry.

@@ -42,7 +42,7 @@ from scipy.signal import lfilter
 
 from . import presets
 from .bss import LAG_PRESETS
-from .dimtest import STRATEGIES, _check_q, _check_test_args, _estimate, _test_p
+from .dimtest import _check_q, _check_test_args, _estimate, _p_values
 from .errors import InvalidInputError, LagTooLargeError
 from .series import LagSet, MultiSeries, standardized_autocovs
 
@@ -94,11 +94,16 @@ class ProcessSpec:
         return self.kind == "white"
 
 
+def _arma_filter(spec: ProcessSpec, eps: np.ndarray) -> np.ndarray:
+    """The ARMA recursion of spec run on the innovations eps."""
+    return lfilter([1.0, *spec.ma], [1.0, *(-a for a in spec.ar)], eps)
+
+
 def psi_weights(spec: ProcessSpec) -> np.ndarray:
     """The first _PSI_TERMS impulse-response (moving-average) weights."""
     impulse = np.zeros(_PSI_TERMS)
     impulse[0] = 1.0
-    return lfilter([1.0, *spec.ma], [1.0, *(-a for a in spec.ar)], impulse)
+    return _arma_filter(spec, impulse)
 
 
 @lru_cache
@@ -131,7 +136,7 @@ def generate(spec: ProcessSpec, n: int, seed) -> np.ndarray:
         eps *= np.sqrt((spec.t_df - 2.0) / spec.t_df)
     if spec.kind == "white":
         return eps[burn:]
-    x = lfilter([1.0, *spec.ma], [1.0, *(-a for a in spec.ar)], eps)[burn:]
+    x = _arma_filter(spec, eps)[burn:]
     return x / np.sqrt(theoretical_variance(spec))
 
 
@@ -296,8 +301,8 @@ def _method_lags(method: str) -> LagSet:
 
 def _rejection_entry(x, lags, w, h, entropy, q, alpha, test_kind, b_reps):
     """1.0 if the test of q rejects at level alpha, else 0.0."""
-    p = _test_p(x, lags, w, h, q, test_kind, b_reps, [*entropy, 1])[0]
-    return float(p < alpha)
+    p_value = _p_values(x, lags, w, h, test_kind, b_reps, lambda _: [*entropy, 1])[1]
+    return float(p_value(q) < alpha)
 
 
 def _dimension_entry(x, lags, w, h, entropy, alpha, strategy, test_kind, b_reps):
@@ -331,8 +336,6 @@ def _cells(setting, n_list, methods, reps, seed, entry, n_jobs):
         raise InvalidInputError("reps must be >= 1")
     if n_jobs < 1:
         raise InvalidInputError(f"n_jobs must be >= 1, got {n_jobs}")
-    if seed < 0:
-        raise InvalidInputError(f"seed must be >= 0, got {seed}")
     n_list = tuple(int(n) for n in n_list)
     methods = tuple(methods)
     method_lags = [_method_lags(m) for m in methods]
@@ -370,7 +373,7 @@ def rejection_table(
     n_jobs: int = 1,
 ) -> FrequencyTable:
     """Fraction of replicates rejecting H_{0q} per (n, method) cell."""
-    _check_test_args(alpha, test_kind, b_reps)
+    _check_test_args(test_kind, b_reps, seed, alpha, table=True)
     q = _check_q(q, setting.p)
     n_list, methods, out, timings = _cells(
         setting, n_list, methods, reps, seed,
@@ -392,9 +395,7 @@ def dimension_table(
     n_jobs: int = 1,
 ) -> DimensionTable:
     """Empirical distribution of the estimated dimension per (n, method)."""
-    _check_test_args(alpha, estimator_kind, b_reps)
-    if strategy not in STRATEGIES:
-        raise InvalidInputError(f"unknown strategy: {strategy!r}")
+    _check_test_args(estimator_kind, b_reps, seed, alpha, strategy, table=True)
     n_list, methods, out, timings = _cells(
         setting, n_list, methods, reps, seed,
         partial(_dimension_entry, alpha=alpha, strategy=strategy,

@@ -63,9 +63,13 @@ class TestEstimate:
         assert report["lags"] == [1]
 
     def test_explicit_lags(self, noise_csv, capsys):
-        _, out, _ = run(["estimate", "--input", noise_csv,
-                         "--lags", "2,4"], capsys)
-        assert json.loads(out)["lags"] == [2, 4]
+        # The method follows the lags: amuse at one lag, sobi otherwise.
+        for lags, method in [("2,4", "sobi"), ("1", "amuse")]:
+            _, out, _ = run(["estimate", "--input", noise_csv,
+                             "--lags", lags], capsys)
+            report = json.loads(out)
+            assert report["lags"] == [int(t) for t in lags.split(",")]
+            assert report["method"] == method
 
     def test_lags_and_preset_conflict(self, noise_csv, capsys):
         code, _, err = run(["estimate", "--input", noise_csv,
@@ -168,21 +172,42 @@ class TestEstimate:
         assert code == EXIT_INPUT
         assert "row 2:" in err and "field limit" in err
 
-    @pytest.mark.parametrize("command", ["estimate", "test"])
+    @pytest.mark.parametrize("command, argv, env, message", [
+        pytest.param("estimate", ["--alpha", "2"], None, "alpha must be in (0, 1)",
+                     id="estimate"),
+        pytest.param("test", ["--alpha", "2"], None, "alpha must be in (0, 1)",
+                     id="test"),
+        pytest.param("estimate", ["--test-kind", "bootstrap", "-B", "0"], None,
+                     "bootstrap replicate count must be >= 1", id="estimate-b"),
+        pytest.param("estimate", ["--lags", "1", "--lag-preset", "amuse"], None,
+                     "mutually exclusive", id="estimate-lags-and-preset"),
+        pytest.param("test", ["--lags", "1,x"], None, "bad lag list",
+                     id="test-bad-lags"),
+        pytest.param("estimate", ["--lags", "3,2"], None, "strictly increasing",
+                     id="estimate-decreasing-lags"),
+        pytest.param("test", [], "x", f"{SEED_ENV_VAR} must be an integer",
+                     id="test-env-seed"),
+        pytest.param("estimate", [], "1.5", f"{SEED_ENV_VAR} must be an integer",
+                     id="estimate-env-seed"),
+    ])
     def test_arguments_checked_before_the_file_is_read(self, tmp_path, capsys,
-                                                       command):
+                                                       monkeypatch, command,
+                                                       argv, env, message):
         path = tmp_path / "bad.csv"
         path.write_text("1.0,2.0\n3.0,oops\n")
+        if env is not None:
+            monkeypatch.setenv(SEED_ENV_VAR, env)
         q = ["--q", "0"] if command == "test" else []
-        code, out, err = run([command, "--input", str(path), "--alpha", "2", *q],
-                             capsys)
+        code, out, err = run([command, "--input", str(path), *argv, *q], capsys)
         assert code == EXIT_INPUT
         assert out == ""
-        assert "alpha must be in (0, 1)" in err
+        assert message in err and "row" not in err
 
     def test_unknown_flag(self, noise_csv, capsys):
-        code, _, _ = run(["estimate", "--input", noise_csv, "--bogus"], capsys)
-        assert code == EXIT_INPUT
+        # --method is gone: the lags decide it, even where it would agree.
+        for flag in (["--bogus"], ["--lags", "1", "--method", "amuse"]):
+            code, _, _ = run(["estimate", "--input", noise_csv, *flag], capsys)
+            assert code == EXIT_INPUT
 
 
 class TestTest:

@@ -213,6 +213,12 @@ class TestBootstrap:
         assert a.p_value == b.p_value
         c = bootstrap_noise_test(x, (1, 2), 1, "sobi", b_reps=50, seed=10)
         assert a.p_value != c.p_value or a.m_hat == c.m_hat
+        # numpy integers are integer seeds, alone and in a sequence.
+        for same, seed in [(9, np.int64(9)), ([9, 2], np.array([9, 2]))]:
+            assert (bootstrap_noise_test(x, (1, 2), 1, "sobi", b_reps=50,
+                                         seed=seed).p_value
+                    == bootstrap_noise_test(x, (1, 2), 1, "sobi", b_reps=50,
+                                            seed=same).p_value)
 
     def test_boundary_q(self):
         x = white_series(400, 2, 13)
@@ -222,14 +228,18 @@ class TestBootstrap:
 
     def test_rejects_bad_b(self):
         x = white_series(400, 2, 14)
-        with pytest.raises(InvalidInputError):
-            bootstrap_noise_test(x, (1,), 1, "sobi", b_reps=0)
-        with pytest.raises(InvalidInputError, match="replicate count"):
-            estimate_dimension(x, (1,), test_kind="bootstrap", b_reps=0)
+        for b_reps in (0, 2.5, "7"):
+            with pytest.raises(InvalidInputError, match="replicate count"):
+                bootstrap_noise_test(x, (1,), 1, "sobi", b_reps=b_reps)
+            with pytest.raises(InvalidInputError, match="replicate count"):
+                estimate_dimension(x, (1,), test_kind="bootstrap", b_reps=b_reps)
 
-    @pytest.mark.parametrize("seed", [-1, [3, -2]], ids=["int", "sequence"])
+    @pytest.mark.parametrize("seed", [-1, [3, -2], 3.0, "a", [1, "a"], [[1, 2]]],
+                             ids=["int", "sequence", "float", "str", "mixed",
+                                  "nested"])
     @pytest.mark.parametrize("call", ["test", "estimate"])
     def test_negative_seed_is_an_input_error(self, call, seed):
+        # A seed is None, an integer >= 0 or a 1-D sequence of them.
         x = white_series(300, 3, 14)
         with pytest.raises(InvalidInputError, match="seed"):
             if call == "test":

@@ -310,6 +310,12 @@ class TestTables:
                      "replicate", id="dimension-b-reps"),
         pytest.param("rejection", {"seed": -1}, "seed", id="rejection-seed"),
         pytest.param("dimension", {"seed": -1}, "seed", id="dimension-seed"),
+        # A master seed is an integer: a worker would fail on any other.
+        *(pytest.param(table, {"seed": seed}, "seed must be an integer",
+                       id=f"{table}-seed-{name}")
+          for table in ("rejection", "dimension")
+          for name, seed in [("float", 1.5), ("str", "a"), ("list", [1, 2]),
+                             ("none", None)]),
         pytest.param("rejection", {"methods": ["amuse", "sobi12"], "n_list": [10]},
                      "max lag 12 must be smaller than series length 10",
                      id="rejection-n-below-lag"),
