@@ -37,6 +37,7 @@ chunk size.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -44,7 +45,7 @@ import numpy as np
 
 from .bss import UnmixingResult, _energy_basis, _whitened
 from .errors import InvalidInputError
-from .series import LagSet, MultiSeries, _symmetrized, _whiten
+from .series import LagSet, MultiSeries, _as_int, _symmetrized, _whiten
 
 
 @dataclass(frozen=True)
@@ -67,7 +68,6 @@ class DimensionEstimate:
     trace: tuple  # TestResult, in evaluation order
     method: str
     lags: LagSet
-    monotone: bool  # False if divide-and-conquer hit a non-monotone trace
 
 
 STRATEGIES = ("forward", "backward", "divide_and_conquer")
@@ -214,8 +214,8 @@ def _p_values(x: MultiSeries, lags: LagSet, w: np.ndarray, h: np.ndarray,
 
 def _estimate(x: MultiSeries, lags: LagSet, w: np.ndarray, h: np.ndarray,
               alpha: float, strategy: str, test_kind: str, b_reps: int, seed):
-    """(_select_dimension's (d_hat, {q: p}, monotone), the _chi2_tests arrays
-    of h), as _p_values. The bootstrap of q is seeded by [word, q]: word is
+    """(_select_dimension's (d_hat, {q: p}), the _chi2_tests arrays of h),
+    as _p_values. The bootstrap of q is seeded by [word, q]: word is
     an integer seed as it is, and any other seed (a sequence, or None for
     fresh entropy) folded into one word by SeedSequence."""
     word = seed
@@ -226,7 +226,7 @@ def _estimate(x: MultiSeries, lags: LagSet, w: np.ndarray, h: np.ndarray,
 
 
 def _check_q(q: int, p: int) -> int:
-    q = int(q)
+    q = _as_int(q, "q")
     if not 0 <= q <= p - 1:
         raise InvalidInputError(f"q must be in [0, {p - 1}], got {q}")
     return q
@@ -283,11 +283,13 @@ def bootstrap_noise_test(
 
 def _check_test_args(test_kind: str, b_reps: int, seed, alpha: float = 0.05,
                      strategy: str = STRATEGIES[-1], table: bool = False) -> None:
-    """Reject an alpha outside (0, 1), an unknown test kind or strategy (a
-    single test has neither alpha nor strategy: the defaults pass), a
-    bootstrap replicate count that is not an integer >= 1, and a seed that
-    is not None, an integer >= 0 or a 1-D sequence of them (a bootstrap's)
-    or not an integer >= 0 (a table's master seed, which seeds every draw)."""
+    """Reject an alpha that is not a number in (0, 1), an unknown test kind
+    or strategy (a single test has neither: the defaults pass), a bootstrap
+    replicate count that is not an integer >= 1, and a seed that is not
+    None, an integer >= 0 or a 1-D sequence of them (a bootstrap's) or not
+    an integer >= 0 (a table's master seed, which seeds every draw)."""
+    if not isinstance(alpha, numbers.Real):
+        raise InvalidInputError(f"alpha must be a number, got {alpha!r}")
     if not 0.0 < alpha < 1.0:
         raise InvalidInputError(f"alpha must be in (0, 1), got {alpha}")
     if test_kind not in ("asymptotic", "bootstrap"):
@@ -308,17 +310,6 @@ def _check_test_args(test_kind: str, b_reps: int, seed, alpha: float = 0.05,
             raise InvalidInputError(f"seed must be non-negative, got {seed!r}")
 
 
-def _is_monotone(p_values: dict, alpha: float) -> bool:
-    """True if, sorted by q, rejections form a prefix and acceptances a suffix."""
-    seen_accept = False
-    for q in sorted(p_values):
-        if p_values[q] >= alpha:
-            seen_accept = True
-        elif seen_accept:
-            return False
-    return True
-
-
 def estimate_dimension(
     x: MultiSeries,
     lags,
@@ -333,10 +324,9 @@ def estimate_dimension(
 
     forward: smallest q with p_q >= alpha (p if none).
     backward: q + 1 for the largest q with p_q < alpha (0 if none).
-    divide_and_conquer: binary search for the change point, assuming the
-    rejection pattern is monotone in q; a violated pattern falls back to
-    the forward rule over the evaluated trace. A bootstrap with seed=None
-    draws fresh entropy, as numpy does.
+    divide_and_conquer: binary search for the change point in about
+    log2(p) tests; its trace sorted by q is always rejections then
+    acceptances. A bootstrap with seed=None draws fresh entropy, as numpy does.
     """
     lags, w, h = _whitened(x, lags, method)
     return _dimension_estimate(x, lags, w, h, method, alpha, strategy,
@@ -369,28 +359,25 @@ def _dimension_estimate(x, lags, w, h, method, alpha, strategy, test_kind,
     _check_test_args(test_kind, b_reps, seed, alpha, strategy)
     if len(w) != x.p:
         raise InvalidInputError("fit and series dimensions disagree")
-    (d_hat, seen, monotone), tests = _estimate(
+    (d_hat, seen), tests = _estimate(
         x, lags, w, h, alpha, strategy, test_kind, b_reps, seed)
     trace = tuple(_result(tests, q, p, lags, method) for q, p in seen.items())
     return DimensionEstimate(d_hat=d_hat, strategy=strategy, alpha=alpha,
-                             trace=trace, method=method, lags=lags,
-                             monotone=monotone)
+                             trace=trace, method=method, lags=lags)
 
 
 def _select_dimension(p_value, p: int, alpha: float, strategy: str):
     """Apply a strategy to the p-values p_value(q) of q = 0, ..., p - 1.
 
-    p_value is called at most once per q, only for the q the strategy
-    evaluates. Returns (d_hat, {q: p-value} in evaluation order, monotone).
+    p_value is called once for each q the strategy evaluates: no strategy
+    evaluates a q twice. Returns (d_hat, {q: p-value} in evaluation order).
     """
     seen = {}
 
     def accepted(q: int) -> bool:
-        if q not in seen:
-            seen[q] = p_value(q)
+        seen[q] = p_value(q)
         return seen[q] >= alpha
 
-    monotone = True
     if strategy == "forward":
         d_hat = p
         for q in range(p):
@@ -404,6 +391,7 @@ def _select_dimension(p_value, p: int, alpha: float, strategy: str):
                 d_hat = q + 1
                 break
     else:
+        # Every rejected q stays below lo and every accepted q at or above hi.
         lo, hi = 0, p
         while lo < hi:
             mid = (lo + hi) // 2
@@ -412,10 +400,7 @@ def _select_dimension(p_value, p: int, alpha: float, strategy: str):
             else:
                 lo = mid + 1
         d_hat = lo
-        if not _is_monotone(seen, alpha):
-            monotone = False
-            d_hat = min((q for q, pv in seen.items() if pv >= alpha), default=p)
-    return d_hat, seen, monotone
+    return d_hat, seen
 
 
 #: Schemas of the fit fields of every report and of one _test_entry.

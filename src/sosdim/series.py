@@ -29,6 +29,15 @@ from .errors import (
 EIG_FLOOR_RATIO = 1e-12
 
 
+def _as_int(value, name: str) -> int:
+    """value as an int: an integer, a numpy integer or a float of integral
+    value (3.0 is 3); anything else raises InvalidInputError."""
+    if isinstance(value, (int, np.integer)) or (
+            isinstance(value, (float, np.floating)) and float(value).is_integer()):
+        return int(value)
+    raise InvalidInputError(f"{name} must be an integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class MultiSeries:
     """A length-T, p-variate real time series; rows are time points."""
@@ -65,7 +74,7 @@ class LagSet:
     lags: tuple
 
     def __post_init__(self):
-        lags = tuple(int(t) for t in self.lags)
+        lags = tuple(_as_int(t, "lag") for t in self.lags)
         if len(lags) == 0:
             raise InvalidInputError("lag set must be nonempty")
         if any(t < 1 for t in lags):
@@ -119,7 +128,7 @@ def sample_autocov(x: MultiSeries, tau: int) -> np.ndarray:
     Both factors are centered with the single global mean. The result is
     generally not symmetric.
     """
-    tau = int(tau)
+    tau = _as_int(tau, "lag")
     if tau < 1:
         raise InvalidInputError(f"lag must be >= 1, got {tau}")
     if tau >= x.T:

@@ -11,7 +11,7 @@ stand-in for the paper's 20-channel sound recording.
 
     name  signals                                   noise          mixing
     H1    MA(3), AR(2), ARMA(1,1)                   2 Gaussian     identity
-    H2    MA(10), MA(15), MA(20), even lags only    2 Gaussian     identity
+    H2    MA(10), MA(15), MA(20), mostly even lags  2 Gaussian     identity
     H3    3 x MA(3)                                 2 Gaussian     identity
     D1    AR(2), AR(3), ARMA(1,1), ARMA(3,2), MA(3) 5 Gaussian     identity
     D2    D1's first four, weak MA(1)               5 Gaussian     identity
@@ -44,7 +44,7 @@ from . import presets
 from .bss import LAG_PRESETS
 from .dimtest import _check_q, _check_test_args, _estimate, _p_values
 from .errors import InvalidInputError, LagTooLargeError
-from .series import LagSet, MultiSeries, standardized_autocovs
+from .series import LagSet, MultiSeries, _as_int, standardized_autocovs
 
 _MAX_MIX_CONDITION = 1e8
 _PSI_TERMS = 4096
@@ -330,14 +330,17 @@ def _cells(setting, n_list, methods, reps, seed, entry, n_jobs):
     under each method's key. The table runs on min(n_jobs, replicates)
     workers: one process pool, or this process when that is one worker.
     Replicate (n, rep) draws from entropy [seed, n, rep] whichever worker
-    runs it.
+    runs it. Every argument is checked before any replicate runs.
     """
+    reps, n_jobs = _as_int(reps, "reps"), _as_int(n_jobs, "n_jobs")
     if reps < 1:
         raise InvalidInputError("reps must be >= 1")
     if n_jobs < 1:
         raise InvalidInputError(f"n_jobs must be >= 1, got {n_jobs}")
-    n_list = tuple(int(n) for n in n_list)
+    n_list = tuple(_as_int(n, "n") for n in n_list)
     methods = tuple(methods)
+    if not n_list or not methods:
+        raise InvalidInputError("n_list and methods must be nonempty")
     method_lags = [_method_lags(m) for m in methods]
     union = LagSet(tuple(sorted({t for lags in method_lags for t in lags})))
     plan = tuple((lags, np.searchsorted(union.lags, lags.lags))

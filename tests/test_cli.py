@@ -6,7 +6,7 @@ import sys
 import numpy as np
 import pytest
 
-from sosdim.cli import EXIT_INPUT, EXIT_OK, SEED_ENV_VAR, main
+from sosdim.cli import EXIT_INPUT, EXIT_NUMERIC, EXIT_OK, SEED_ENV_VAR, main
 from sosdim.dimtest import REPORT_SCHEMA, TEST_SCHEMA
 
 
@@ -202,6 +202,16 @@ class TestEstimate:
         assert code == EXIT_INPUT
         assert out == ""
         assert message in err and "row" not in err
+
+    def test_singular_covariance_exits_3(self, tmp_path, capsys):
+        # A third column that repeats the first makes S0 singular.
+        v = np.random.default_rng(1).standard_normal((500, 2))
+        path = tmp_path / "collinear.csv"
+        np.savetxt(path, np.column_stack([v, v[:, 0]]), delimiter=",")
+        code, out, err = run(["estimate", "--input", str(path)], capsys)
+        assert code == EXIT_NUMERIC
+        assert out == ""
+        assert err.startswith("error: eigenvalue ") and " at or below floor " in err
 
     def test_unknown_flag(self, noise_csv, capsys):
         # --method is gone: the lags decide it, even where it would agree.

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 import scipy.stats
@@ -182,6 +184,19 @@ class TestNoiseTest:
         accept = noise_test(x, range(1, 7), 3, "sobi")
         assert reject.p_value < 1e-4
         assert accept.p_value > 1e-4
+
+    @pytest.mark.parametrize("q", [1.7, "1", None])
+    def test_q_must_be_an_integer(self, q):
+        x = white_series(300, 3, 31)
+        fit = unmix(x, (1,), "amuse")
+        with pytest.raises(InvalidInputError, match="q must be an integer"):
+            noise_test(x, (1,), q, "amuse")
+        with pytest.raises(InvalidInputError, match="q must be an integer"):
+            bootstrap_noise_test(x, (1,), q, "amuse", b_reps=3)
+        with pytest.raises(InvalidInputError, match="q must be an integer"):
+            statistic_of(fit, q, x.T)
+        # A float of integral value is that integer.
+        assert noise_test(x, (1,), 1.0, "amuse") == noise_test(x, (1,), 1, "amuse")
 
     def test_amuse_single_lag(self):
         x = white_series(1000, 3, 11)
@@ -373,17 +388,16 @@ class TestStrategies:
     @pytest.mark.parametrize("strategy",
                              ["forward", "backward", "divide_and_conquer"])
     def test_rule_application_on_monotone_trace(self, strategy):
-        d_hat, _, monotone = self.select((0.001, 0.002, 0.300, 0.700), strategy)
+        d_hat, _ = self.select((0.001, 0.002, 0.300, 0.700), strategy)
         assert d_hat == 2
-        assert monotone
 
     def test_forward_stops_early(self):
-        d_hat, order, _ = self.select((0.001, 0.300, 0.001, 0.700), "forward")
+        d_hat, order = self.select((0.001, 0.300, 0.001, 0.700), "forward")
         assert d_hat == 1
         assert list(order) == [0, 1]
 
     def test_backward_scans_from_top(self):
-        d_hat, order, _ = self.select((0.001, 0.300, 0.001, 0.700), "backward")
+        d_hat, order = self.select((0.001, 0.300, 0.001, 0.700), "backward")
         assert d_hat == 3
         assert list(order) == [3, 2]
 
@@ -391,18 +405,33 @@ class TestStrategies:
         # The binary search only probes points consistent with the
         # interval invariant, so its own trace is always monotone even
         # when the full p-value string is not.
-        d_hat, order, monotone = self.select(
+        d_hat, order = self.select(
             (0.300, 0.001, 0.300, 0.700), "divide_and_conquer"
         )
-        assert monotone
         assert d_hat == 2
         assert sorted(order) == [1, 2]
 
-    def test_monotonicity_detector(self):
-        from sosdim.dimtest import _is_monotone
+    def test_dnc_trace_is_monotone_for_every_pattern(self):
+        # Every accept/reject pattern of p = 1..8 (510 of them): the binary
+        # search's trace sorted by q is rejections then acceptances, and
+        # d_hat is the trace's smallest accepted q (p if none). On a pattern
+        # that is itself monotone, that is the forward rule's answer. No q
+        # is evaluated twice.
+        from sosdim.dimtest import _select_dimension
 
-        assert _is_monotone(dict(enumerate((0.001, 0.002, 0.300, 0.700))), 0.05)
-        assert not _is_monotone(dict(enumerate((0.300, 0.001, 0.300, 0.700))), 0.05)
+        for p in range(1, 9):
+            for pattern in itertools.product((0.001, 0.300), repeat=p):
+                calls = []
+                d_hat, seen = _select_dimension(
+                    lambda q: calls.append(q) or pattern[q], p, 0.05,
+                    "divide_and_conquer")
+                assert calls == list(seen), pattern
+                accepted = [seen[q] >= 0.05 for q in sorted(seen)]
+                assert accepted == sorted(accepted), pattern
+                assert d_hat == min((q for q in seen if seen[q] >= 0.05),
+                                    default=p), pattern
+                if list(pattern) == sorted(pattern):
+                    assert d_hat == self.select(pattern, "forward")[0], pattern
 
     def test_pure_noise_all_strategies_zero(self):
         x = white_series(3000, 4, 16)
@@ -426,10 +455,22 @@ class TestStrategies:
             b = estimate_dimension_from_fit(x, fit, strategy=strategy)
             assert a.d_hat == b.d_hat
 
+    def test_from_fit_rejects_a_fit_of_another_series(self):
+        x = white_series(300, 3, 19)
+        fit = unmix(white_series(300, 2, 19), (1,), "amuse")
+        with pytest.raises(InvalidInputError, match="dimensions disagree"):
+            estimate_dimension_from_fit(x, fit)
+
     def test_alpha_validation(self):
         x = white_series(300, 2, 19)
         with pytest.raises(InvalidInputError):
             estimate_dimension(x, (1,), alpha=0.0)
+        with pytest.raises(InvalidInputError,
+                           match=r"alpha must be in \(0, 1\), got 2.0"):
+            estimate_dimension(x, (1,), method="amuse", alpha=2.0)
+        for alpha in ("a", None):
+            with pytest.raises(InvalidInputError, match="alpha must be a number"):
+                estimate_dimension(x, (1,), method="amuse", alpha=alpha)
         with pytest.raises(InvalidInputError):
             estimate_dimension(x, (1,), strategy="greedy")
         with pytest.raises(InvalidInputError):

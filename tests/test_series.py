@@ -45,6 +45,11 @@ class TestContainers:
             LagSet((2, 2))
         with pytest.raises(InvalidInputError):
             LagSet((3, 1))
+        # One integer rule: 3.0 is 3, and 1.9 or "3" is no lag.
+        assert LagSet((1, 3.0, np.int64(4))).lags == (1, 3, 4)
+        for bad in (1.9, "3", None):
+            with pytest.raises(InvalidInputError, match="lag must be an integer"):
+                LagSet((bad,))
 
 
 class TestSampleCov:
@@ -102,6 +107,12 @@ class TestSampleAutocov:
         x = series(np.random.default_rng(0).standard_normal((10, 2)))
         with pytest.raises(LagTooLargeError):
             sample_autocov(x, 10)
+
+    def test_fractional_lag(self):
+        x = series(np.random.default_rng(0).standard_normal((10, 2)))
+        with pytest.raises(InvalidInputError, match="lag must be an integer, got 1.5"):
+            sample_autocov(x, 1.5)
+        assert np.array_equal(sample_autocov(x, 2.0), sample_autocov(x, 2))
 
 
 class TestSymmetrize:

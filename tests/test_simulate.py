@@ -5,6 +5,7 @@ from sosdim import InvalidInputError, MultiSeries
 from sosdim.simulate import (
     ProcessSpec,
     SETTING_NAMES,
+    SimSetting,
     dimension_table,
     generate,
     make_setting,
@@ -34,6 +35,12 @@ class TestProcessSpec:
             ProcessSpec("white", ar=(0.5,))
         with pytest.raises(InvalidInputError):
             ProcessSpec("ar", ar=(0.5,), ma=(0.3,))
+        with pytest.raises(InvalidInputError, match="ma process takes no ar"):
+            ProcessSpec("ma", ar=(0.5,))
+
+    def test_rejects_unknown_innovation(self):
+        with pytest.raises(InvalidInputError, match="unknown innovation"):
+            ProcessSpec("white", innovation="x")
 
     def test_rejects_low_t_df(self):
         with pytest.raises(InvalidInputError):
@@ -94,6 +101,15 @@ class TestTheory:
             spec = ProcessSpec("ma", ma=ma)
             assert abs(theoretical_autocov(spec, 1)) <= 1e-12
             assert abs(theoretical_autocov(spec, 2)) > 0.05
+
+    def test_h2_lag1_autocovs(self):
+        # MA15_EVEN's last coefficient sits at the odd lag 15: 0.15 * 0.1
+        # over the variance 1.71 is its lag-1 autocovariance, 1/114.
+        signals = make_setting("H2").processes[:3]
+        got = [theoretical_autocov(spec, 1) for spec in signals]
+        assert got[0] == pytest.approx(0.0, abs=1e-15)
+        assert got[1] == pytest.approx(1 / 114, rel=1e-12)
+        assert got[2] == pytest.approx(0.0, abs=1e-15)
 
 
 class TestGenerate:
@@ -189,6 +205,10 @@ class TestSettings:
         assert s.mixing == "uniform"
         assert all(sp.innovation == "t" and sp.t_df == 5.0
                    for sp in s.processes[3:])
+
+    def test_unknown_mixing(self):
+        with pytest.raises(InvalidInputError, match="unknown mixing"):
+            SimSetting("X", (ProcessSpec("white"),), "gaussian")
 
     def test_unknown_setting(self):
         with pytest.raises(InvalidInputError):
@@ -292,6 +312,10 @@ class TestTables:
         pytest.param("rejection", {"alpha": 0.0}, "alpha", id="0.0"),
         pytest.param("rejection", {"alpha": 1.5}, "alpha", id="1.5"),
         pytest.param("dimension", {"alpha": 1.5}, "alpha", id="dimension-alpha"),
+        *(pytest.param(table, {"alpha": alpha}, "alpha must be a number",
+                       id=f"{table}-alpha-{name}")
+          for table in ("rejection", "dimension")
+          for name, alpha in [("str", "a"), ("none", None)]),
         pytest.param("rejection", {"test_kind": "bogus"}, "test kind",
                      id="rejection-kind"),
         pytest.param("dimension", {"estimator_kind": "bogus"}, "test kind",
@@ -304,6 +328,20 @@ class TestTables:
                      id="dimension-method"),
         pytest.param("rejection", {"q": 5}, "q must", id="rejection-q-high"),
         pytest.param("rejection", {"q": -1}, "q must", id="rejection-q-low"),
+        pytest.param("rejection", {"q": 1.7}, "q must be an integer, got 1.7",
+                     id="rejection-q-fractional"),
+        pytest.param("rejection", {"reps": 2.5}, "reps must be an integer",
+                     id="rejection-reps-fractional"),
+        pytest.param("dimension", {"n_jobs": 1.5}, "n_jobs must be an integer",
+                     id="dimension-n-jobs-fractional"),
+        pytest.param("dimension", {"n_list": [200.7]}, "n must be an integer",
+                     id="dimension-n-fractional"),
+        pytest.param("rejection", {"n_list": []},
+                     "n_list and methods must be nonempty",
+                     id="rejection-n-list-empty"),
+        pytest.param("dimension", {"methods": []},
+                     "n_list and methods must be nonempty",
+                     id="dimension-methods-empty"),
         pytest.param("rejection", {"test_kind": "bootstrap", "b_reps": 0},
                      "replicate", id="rejection-b-reps"),
         pytest.param("dimension", {"estimator_kind": "bootstrap", "b_reps": 0},
