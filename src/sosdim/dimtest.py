@@ -13,16 +13,18 @@ adapts to a block of white noise and would make every q above the true
 signal count reject too often; the tests therefore never run the
 diagonalizer.
 
-Every p-value comes from one core, _p_values, that works from the series,
-its lags, its whitener S0^{-1/2} and its stack H, and returns numbers: the
-statistics of every q and a function of q that gives its p-value. The
-public functions and both kinds of simulation table call it, and check
-their arguments once, in _check_test_args; only the public functions build
-TestResult and DimensionEstimate. All q come from the one stack G_tau =
-W^T H_tau W of the full energy basis W: the noise block of q is the
-trailing (p - q) x (p - q) block of every G_tau, so suffix sums of
-sum_tau G_tau^2 give every statistic in one pass (_chi2_tests). Every
-df is an integer, so each p-value is a finite sum of Poisson-like terms
+Every statistic and asymptotic p-value comes from one core, _chi2_tests,
+which works from a stack H, or from a batch of stacks, and returns
+numbers. _p_values turns its arrays, with the series, its lags and its
+whitener S0^{-1/2}, into a function of q that gives the p-value of q,
+asymptotic or bootstrap. The public functions and both kinds of
+simulation table call them, and check their arguments once, in
+_check_test_args; only the public functions build TestResult and
+DimensionEstimate. All q come from the one stack G_tau = W^T H_tau W of
+the full energy basis W: the noise block of q is the trailing
+(p - q) x (p - q) block of every G_tau, so suffix sums of
+sum_tau G_tau^2 give every statistic in one pass. Every df is an
+integer, so each p-value is a finite sum of Poisson-like terms
 (_chi2_sf), with erfc for odd df, and needs no special-function library.
 A bootstrap replicate resamples the trailing columns of the sources
 (x - xbar) S0^{-1/2} W and needs only its own stack: whitening removes any
@@ -92,14 +94,14 @@ _TINY = np.finfo(float).tiny
 
 @lru_cache(maxsize=64)
 def _chi2_terms(k: int, p: int):
-    """(row, start, e, lg, erfc_at): every term of _chi2_sf for a k-lag
+    """(row, start, e, lg, slots): every term of _chi2_sf for a k-lag
     stack of p series, in one flat array. Term i belongs to q = row[i], and
     the terms of q begin at start[q]. It is exp(e[i] log y - y - lg[i]),
     with e = j + a and lg = lgamma(j + a + 1) for j = 0, ..., df // 2 - 1,
     where a = 1/2 for odd df and 0 for even. An odd df's terms begin with a
-    slot (j = -1) for erfc(sqrt(y)), so every q has a term; erfc_at holds
-    the (index, q) of each slot. The arrays are read-only, because every
-    call with (k, p) shares them."""
+    slot (j = -1) for erfc(sqrt(y)), so every q has a term; slots holds the
+    index of each. The arrays are read-only, because every call with (k, p)
+    shares them."""
     r = p - np.arange(p)
     df = k * r * (r + 1) // 2
     count = (df + 1) // 2
@@ -109,15 +111,16 @@ def _chi2_terms(k: int, p: int):
     # m = 2 (e + 1) is an integer >= 1: one lgamma call per m, not per term.
     m = (2 * e + 2).astype(np.intp)
     lg = np.array([math.lgamma(v / 2) for v in range(1, m.max() + 1)])[m - 1]
-    for a in (row, start, e, lg):
-        a.setflags(write=False)
     slots = np.flatnonzero(e < 0)
-    return row, start, e, lg, tuple(zip(slots.tolist(), row[slots].tolist()))
+    for a in (row, start, e, lg, slots):
+        a.setflags(write=False)
+    return row, start, e, lg, slots
 
 
 def _chi2_sf(stat: np.ndarray, k: int) -> np.ndarray:
-    """Chi-square upper tail of stat[q] on df = k r (r + 1) / 2 degrees of
-    freedom, r = p - q, for every q of a k-lag stack of p = len(stat) series.
+    """Chi-square upper tail of stat[..., q] on df = k r (r + 1) / 2 degrees
+    of freedom, r = p - q, for every q of a k-lag stack of p series; stat
+    is (..., p), with any leading batch axes.
 
     df is an integer, so the tail Q(df/2, y), y = stat/2, is a finite sum:
     of y^j e^-y / j! over j < df/2 for even df, and erfc(sqrt(y)) plus the
@@ -126,23 +129,28 @@ def _chi2_sf(stat: np.ndarray, k: int) -> np.ndarray:
     e^-y would underflow for y > 745, and a recurrence from the last term
     would start from 0 when y << df/2.
     """
-    row, start, e, lg, erfc_at = _chi2_terms(k, len(stat))
+    row, start, e, lg, slots = _chi2_terms(k, stat.shape[-1])
     y = stat / 2.0
     # At y = 0 the term j = 0 would be exp(0 * -inf). At the smallest normal
     # double every other term is below the rounding of 1, as at y = 0.
-    terms = np.exp(e * np.log(np.maximum(y, _TINY))[row] - lg - y[row])
-    for i, q in erfc_at:
-        terms[i] = math.erfc(math.sqrt(y[q]))
+    terms = np.exp(e * np.log(np.maximum(y, _TINY)).take(row, axis=-1) - lg
+                   - y.take(row, axis=-1))
+    if len(slots):
+        odd = y.take(row[slots], axis=-1)
+        erfc = np.array([math.erfc(math.sqrt(v)) for v in odd.ravel().tolist()])
+        terms.T[slots] = erfc.reshape(odd.shape).T
     # Rounding can carry a sum of terms near 1 past it by a few ulps.
-    return np.minimum(np.add.reduceat(terms, start), 1.0)
+    return np.minimum(np.add.reduceat(terms, start, axis=-1), 1.0)
 
 
 def _chi2_tests(h: np.ndarray, T: int):
     """(u, m_hat, stat, df, p_value) of every q from the whitened stack h
     of a length-T series: u is its energy basis and the rest are arrays
-    indexed by q. The one place the statistic is scaled to chi-square."""
+    indexed by q. A (..., k, p, p) batch of stacks of length-T series gives
+    every array but df, which only k and p decide, the batch's leading
+    axes. The one place the statistic is scaled to chi-square."""
     u = _energy_basis(h)[1]
-    k, p = h.shape[:2]
+    k, p = h.shape[-3:-1]
     m_hat = _m_hat(h, u)
     r = p - np.arange(p)
     stat = T * k * r * r * m_hat
@@ -194,35 +202,34 @@ def _bootstrap_p(zt: np.ndarray, lags: LagSet, q: int, m_hat: float,
     return (1 + count) / (b_reps + 1)
 
 
-def _p_values(x: MultiSeries, lags: LagSet, w: np.ndarray, h: np.ndarray,
+def _p_values(x: MultiSeries, lags: LagSet, w: np.ndarray, tests,
               test_kind: str, b_reps: int, seed_of):
-    """(the _chi2_tests arrays of h, p_value(q)) for the stack h of x
-    whitened by w: the asymptotic p-value of q, or its bootstrap of b_reps
-    replicates seeded by seed_of(q). The bootstrap resamples the centred
-    sources (x - xbar) @ (w @ u) on the energy basis u, time-major as a
+    """p_value(q) from the _chi2_tests arrays of the stack of x whitened by
+    w: the asymptotic p-value of q, or its bootstrap of b_reps replicates
+    seeded by seed_of(q). The bootstrap resamples the centred sources
+    (x - xbar) @ (w @ u) on the energy basis u, time-major as a
     C-contiguous p x T array. The arguments are not checked."""
-    tests = _chi2_tests(h, x.T)
     if test_kind == "asymptotic":
-        return tests, tests[4].__getitem__
+        return tests[4].__getitem__
     zt = np.ascontiguousarray(((x.values - x.values.mean(axis=0)) @ (w @ tests[0])).T)
 
     def p_value(q: int) -> float:
         return _bootstrap_p(zt, lags, q, tests[1][q], b_reps, seed_of(q))
 
-    return tests, p_value
+    return p_value
 
 
-def _estimate(x: MultiSeries, lags: LagSet, w: np.ndarray, h: np.ndarray,
+def _estimate(x: MultiSeries, lags: LagSet, w: np.ndarray, tests,
               alpha: float, strategy: str, test_kind: str, b_reps: int, seed):
-    """(_select_dimension's (d_hat, {q: p}), the _chi2_tests arrays of h),
-    as _p_values. The bootstrap of q is seeded by [word, q]: word is
-    an integer seed as it is, and any other seed (a sequence, or None for
-    fresh entropy) folded into one word by SeedSequence."""
+    """_select_dimension's (d_hat, {q: p}) on the p-values of _p_values.
+    The bootstrap of q is seeded by [word, q]: word is an integer seed as
+    it is, and any other seed (a sequence, or None for fresh entropy)
+    folded into one word by SeedSequence."""
     word = seed
     if test_kind == "bootstrap" and not isinstance(seed, (int, np.integer)):
         word = int(np.random.SeedSequence(seed).generate_state(1)[0])
-    tests, p_value = _p_values(x, lags, w, h, test_kind, b_reps, lambda q: [word, q])
-    return _select_dimension(p_value, len(w), alpha, strategy), tests
+    p_value = _p_values(x, lags, w, tests, test_kind, b_reps, lambda q: [word, q])
+    return _select_dimension(p_value, len(w), alpha, strategy)
 
 
 def _check_q(q: int, p: int) -> int:
@@ -254,7 +261,8 @@ def _noise_test(x, lags, q, method, test_kind, b_reps=0, seed=None) -> TestResul
     _check_test_args(test_kind, b_reps, seed)
     lags, w, h = _whitened(x, lags, method)
     q = _check_q(q, x.p)
-    tests, p_value = _p_values(x, lags, w, h, test_kind, b_reps, lambda _: seed)
+    tests = _chi2_tests(h, x.T)
+    p_value = _p_values(x, lags, w, tests, test_kind, b_reps, lambda _: seed)
     return _result(tests, q, p_value(q), lags, method)
 
 
@@ -359,8 +367,9 @@ def _dimension_estimate(x, lags, w, h, method, alpha, strategy, test_kind,
     _check_test_args(test_kind, b_reps, seed, alpha, strategy)
     if len(w) != x.p:
         raise InvalidInputError("fit and series dimensions disagree")
-    (d_hat, seen), tests = _estimate(
-        x, lags, w, h, alpha, strategy, test_kind, b_reps, seed)
+    tests = _chi2_tests(h, x.T)
+    d_hat, seen = _estimate(x, lags, w, tests, alpha, strategy, test_kind,
+                            b_reps, seed)
     trace = tuple(_result(tests, q, p, lags, method) for q, p in seen.items())
     return DimensionEstimate(d_hat=d_hat, strategy=strategy, alpha=alpha,
                              trace=trace, method=method, lags=lags)

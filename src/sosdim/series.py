@@ -38,6 +38,12 @@ def _as_int(value, name: str) -> int:
     raise InvalidInputError(f"{name} must be an integer, got {value!r}")
 
 
+def _check_finite(v: np.ndarray) -> None:
+    """Raise InvalidInputError unless every value of v is finite."""
+    if not np.all(np.isfinite(v)):
+        raise InvalidInputError("series contains non-finite values")
+
+
 @dataclass(frozen=True)
 class MultiSeries:
     """A length-T, p-variate real time series; rows are time points."""
@@ -54,8 +60,7 @@ class MultiSeries:
             raise InvalidInputError("series needs at least 2 time points")
         if v.shape[1] < 1:
             raise InvalidInputError("series needs at least 1 component")
-        if not np.all(np.isfinite(v)):
-            raise InvalidInputError("series contains non-finite values")
+        _check_finite(v)
         object.__setattr__(self, "values", v)
 
     @property

@@ -18,15 +18,24 @@ stand-in for the paper's 20-channel sound recording.
     D3    5 x weak MA(2)                            5 Gaussian     identity
     S5    H1's three                                17 t(5)        uniform [0, 1]
 
-A table draws each replicate once for all of its methods and whitens
-that draw once, into the stack of the union of the methods' lags. Each
-method runs the dimtest core on its own rows of that stack, whatever the
-test kind: standardized_autocovs whitens every lag with the same
-S0^{-1/2}, so the rows hold exactly the numbers a stack of the method's
-lags alone would. The bootstrap evaluates only the q its table needs and
-seeds its resampling from [master_seed, n, rep, 1] (rejection) or
-[master_seed, n, rep, 2] (dimension), as bootstrap_noise_test and
-estimate_dimension do given those seeds.
+A table runs in tasks of one sample size n and a chunk of consecutive
+replicates. A task draws its chunk in one batch (_draw: one filter call
+per process and one mixing product for the whole chunk; simulate_setting
+and generate are the batch of one), whitens it in one kernel call into
+the stacks of the union of the methods' lags, and makes one batched
+_chi2_tests call per method on the method's rows of those stacks. The
+whitening uses the same S0^{-1/2} for every lag, so the rows hold
+exactly the numbers a stack of the method's lags alone would. A chunk
+holds as many replicates as fit, as n x p float64 series, in
+dimtest._CHUNK_BYTES, and at most the table's replicates over its
+workers, so that every worker has a task. Every replicate's numbers are
+those of the replicate drawn and tested on its own, so no table depends
+on the chunk size or the worker count. An asymptotic table reads the
+p-values of the batch; the bootstrap runs per replicate, evaluates only
+the q its table needs and seeds its resampling from
+[master_seed, n, rep, 1] (rejection) or [master_seed, n, rep, 2]
+(dimension), as bootstrap_noise_test and estimate_dimension do given
+those seeds.
 """
 
 from __future__ import annotations
@@ -42,9 +51,10 @@ from scipy.signal import lfilter
 
 from . import presets
 from .bss import LAG_PRESETS
-from .dimtest import _check_q, _check_test_args, _estimate, _p_values
+from .dimtest import (_check_q, _check_test_args, _chi2_tests, _chunk_reps,
+                      _estimate, _p_values, _select_dimension)
 from .errors import InvalidInputError, LagTooLargeError
-from .series import LagSet, MultiSeries, _as_int, standardized_autocovs
+from .series import LagSet, MultiSeries, _as_int, _check_finite, _whiten
 
 _MAX_MIX_CONDITION = 1e8
 _PSI_TERMS = 4096
@@ -124,19 +134,28 @@ def theoretical_autocov(spec: ProcessSpec, lag: int) -> float:
 def generate(spec: ProcessSpec, n: int, seed) -> np.ndarray:
     """Simulate n samples by innovation recursion with burn-in, rescaled
     to unit theoretical variance."""
+    return _generate(spec, n, [seed])[0]
+
+
+def _generate(spec: ProcessSpec, n: int, seeds) -> np.ndarray:
+    """generate of every seed, as a len(seeds) x n array: each row draws its
+    innovations from default_rng(seed), and one filter call runs them all."""
     if n < 1:
         raise InvalidInputError("n must be >= 1")
-    rng = np.random.default_rng(seed)
     burn = 1000 + 10 * spec.order
     total = n + burn
-    if spec.innovation == "gaussian":
-        eps = rng.standard_normal(total)
-    else:
-        eps = rng.standard_t(spec.t_df, size=total)
+    eps = np.empty((len(seeds), total))
+    for row, seed in zip(eps, seeds):
+        rng = np.random.default_rng(seed)
+        if spec.innovation == "gaussian":
+            rng.standard_normal(out=row)
+        else:
+            row[:] = rng.standard_t(spec.t_df, size=total)
+    if spec.innovation == "t":
         eps *= np.sqrt((spec.t_df - 2.0) / spec.t_df)
     if spec.kind == "white":
-        return eps[burn:]
-    x = _arma_filter(spec, eps)[burn:]
+        return eps[:, burn:]
+    x = _arma_filter(spec, eps)[:, burn:]
     return x / np.sqrt(theoretical_variance(spec))
 
 
@@ -196,35 +215,51 @@ def make_setting(name: str) -> SimSetting:
             f"unknown setting: {name!r}; expected one of {SETTING_NAMES}") from None
 
 
+def _mixing(mixing, p: int, seed) -> np.ndarray:
+    """The p x p mixing matrix Omega: the identity, or uniform on [0, 1]
+    from default_rng(seed), redrawn until its condition number is below
+    1e8."""
+    if not isinstance(mixing, str) or mixing not in ("identity", "uniform"):
+        raise InvalidInputError(f"unknown mixing: {mixing!r}")
+    if mixing == "identity":
+        return np.eye(p)
+    rng = np.random.default_rng(seed)
+    while True:
+        omega = rng.uniform(0.0, 1.0, size=(p, p))
+        if np.linalg.cond(omega) < _MAX_MIX_CONDITION:
+            return omega
+
+
 def mix(sources: MultiSeries, mixing, seed=None):
     """Apply the mixing x_t = Omega z_t; returns (mixed, Omega).
 
     mixing is "identity" or "uniform" (redrawn until the condition number
     is below 1e8).
     """
-    p = sources.p
-    if not isinstance(mixing, str) or mixing not in ("identity", "uniform"):
-        raise InvalidInputError(f"unknown mixing: {mixing!r}")
-    if mixing == "identity":
-        omega = np.eye(p)
-    else:
-        rng = np.random.default_rng(seed)
-        while True:
-            omega = rng.uniform(0.0, 1.0, size=(p, p))
-            if np.linalg.cond(omega) < _MAX_MIX_CONDITION:
-                break
+    omega = _mixing(mixing, sources.p, seed)
     return MultiSeries(sources.values @ omega.T), omega
 
 
 def simulate_setting(setting: SimSetting, n: int, seed):
     """Draw one replicate: returns (mixed series, Omega, sources)."""
-    children = np.random.SeedSequence(seed).spawn(setting.p + 1)
-    z = np.column_stack(
-        [generate(spec, n, children[j]) for j, spec in enumerate(setting.processes)]
-    )
-    sources = MultiSeries(z)
-    x, omega = mix(sources, setting.mixing, children[setting.p])
-    return x, omega, sources
+    x, omega, z = _draw(setting, n, [seed])
+    return MultiSeries(x[0]), omega[0], MultiSeries(z[0])
+
+
+def _draw(setting: SimSetting, n: int, seeds):
+    """simulate_setting of every seed, batched: (x, Omega, z) as b x n x p,
+    b x p x p and b x n x p arrays, b = len(seeds). Replicate i spawns its
+    p + 1 children from SeedSequence(seeds[i]): child j draws process j
+    and child p the mixing. One _generate call draws each process for every
+    replicate, and one product mixes them all."""
+    children = [np.random.SeedSequence(seed).spawn(setting.p + 1) for seed in seeds]
+    z = np.stack([_generate(spec, n, [c[j] for c in children])
+                  for j, spec in enumerate(setting.processes)], axis=-1)
+    omega = np.array([_mixing(setting.mixing, setting.p, c[-1]) for c in children])
+    x = z @ omega.swapaxes(-1, -2)
+    _check_finite(z)
+    _check_finite(x)
+    return x, omega, z
 
 
 @dataclass
@@ -299,27 +334,50 @@ def _method_lags(method: str) -> LagSet:
     return LagSet(LAG_PRESETS[method])
 
 
-def _rejection_entry(x, lags, w, h, entropy, q, alpha, test_kind, b_reps):
-    """1.0 if the test of q rejects at level alpha, else 0.0."""
-    p_value = _p_values(x, lags, w, h, test_kind, b_reps, lambda _: [*entropy, 1])[1]
-    return float(p_value(q) < alpha)
+def _replicates(x, w, tests):
+    """Each replicate's (series, whitener, _chi2_tests arrays) from the
+    batched arrays of a chunk."""
+    u, m_hat, stat, df, p_value = tests
+    return [(MultiSeries(x[i]), w[i], (u[i], m_hat[i], stat[i], df, p_value[i]))
+            for i in range(len(x))]
 
 
-def _dimension_entry(x, lags, w, h, entropy, alpha, strategy, test_kind, b_reps):
-    """The estimated dimension under the strategy."""
-    return _estimate(x, lags, w, h, alpha, strategy, test_kind, b_reps,
-                     [*entropy, 2])[0][0]
+def _rejection_entries(x, lags, w, tests, entropies, q, alpha, test_kind,
+                       b_reps):
+    """1.0 for each replicate of the chunk whose test of q rejects at level
+    alpha, else 0.0."""
+    if test_kind == "asymptotic":
+        p = tests[4][:, q]
+    else:
+        p = [_p_values(xi, lags, wi, ti, test_kind, b_reps, lambda _: [*e, 1])(q)
+             for (xi, wi, ti), e in zip(_replicates(x, w, tests), entropies)]
+    return np.less(p, alpha).astype(float)
 
 
-def _replicate(args):
-    """entry(x, lags, w, h, entropy) of every (lags, rows) of the plan on
-    the draw x of replicate (n, rep), from entropy [seed, n, rep]: w is the
-    whitener and h the rows of the draw's stack over the union lags."""
-    setting, n, rep, seed, union, plan, entry = args
-    entropy = [seed, n, rep]
-    x = simulate_setting(setting, n, entropy)[0]
-    w, h = standardized_autocovs(x, union)
-    return [entry(x, lags, w, h[rows], entropy) for lags, rows in plan]
+def _dimension_entries(x, lags, w, tests, entropies, alpha, strategy,
+                       test_kind, b_reps):
+    """The estimated dimension of each replicate of the chunk under the
+    strategy."""
+    if test_kind == "asymptotic":
+        return [_select_dimension(pv.__getitem__, len(pv), alpha, strategy)[0]
+                for pv in tests[4]]
+    return [_estimate(xi, lags, wi, ti, alpha, strategy, test_kind, b_reps,
+                      [*e, 2])[0]
+            for (xi, wi, ti), e in zip(_replicates(x, w, tests), entropies)]
+
+
+def _chunk(args):
+    """entry(x, lags, w, tests, entropies) of every (lags, rows) of the plan
+    on the draws of replicates (n, rep), rep in reps, from entropies
+    [seed, n, rep], as a len(reps) x len(plan) array: x holds the draws as
+    a b x n x p array, w their whiteners and tests the batched _chi2_tests
+    arrays of the rows of their stacks over the union lags."""
+    setting, n, reps, seed, union, plan, entry = args
+    entropies = [[seed, n, rep] for rep in reps]
+    x = _draw(setting, n, entropies)[0]
+    w, h = _whiten(x.swapaxes(-1, -2), union)
+    return np.array([entry(x, lags, w, _chi2_tests(h[:, rows], n), entropies)
+                     for lags, rows in plan], dtype=float).T
 
 
 def _cells(setting, n_list, methods, reps, seed, entry, n_jobs):
@@ -327,10 +385,15 @@ def _cells(setting, n_list, methods, reps, seed, entry, n_jobs):
 
     Returns n_list and methods as tuples, a len(n_list) x reps x
     len(methods) array of the entries and the table's wall-clock seconds
-    under each method's key. The table runs on min(n_jobs, replicates)
-    workers: one process pool, or this process when that is one worker.
-    Replicate (n, rep) draws from entropy [seed, n, rep] whichever worker
-    runs it. Every argument is checked before any replicate runs.
+    under each method's key. Replicate (n, rep) draws from entropy
+    [seed, n, rep] whichever task runs it. A task is one n and a chunk of
+    consecutive replicates, drawn, whitened and tested in one batched call
+    each: as many replicates as fit, as n x p float64 series, in
+    dimtest._CHUNK_BYTES (dimtest._chunk_reps), and at most the table's
+    replicates over its workers, so that every worker has a task. The
+    table runs on min(n_jobs, replicates) workers: one process pool, or
+    this process when that is one worker. Every argument is checked before
+    any replicate runs.
     """
     reps, n_jobs = _as_int(reps, "reps"), _as_int(n_jobs, "n_jobs")
     if reps < 1:
@@ -349,15 +412,17 @@ def _cells(setting, n_list, methods, reps, seed, entry, n_jobs):
         if union.max >= n:
             raise LagTooLargeError(
                 f"max lag {union.max} must be smaller than series length {n}")
-    tasks = [(setting, n, rep, seed, union, plan, entry)
-             for n in n_list for rep in range(reps)]
-    workers = min(n_jobs, len(tasks))
+    total = len(n_list) * reps
+    workers = min(n_jobs, total)
+    tasks = []
+    for n in n_list:
+        step = min(_chunk_reps(setting.p, n, reps), total // workers)
+        tasks += [(setting, n, range(reps)[first:first + step], seed, union,
+                   plan, entry) for first in range(0, reps, step)]
     parallel = workers > 1
     start = time.perf_counter()
     with ProcessPoolExecutor(workers) if parallel else nullcontext() as pool:
-        chunk = max(1, reps // (4 * workers))
-        run = partial(pool.map, chunksize=chunk) if parallel else map
-        out = np.array(list(run(_replicate, tasks)), dtype=float)
+        out = np.concatenate(list((pool.map if parallel else map)(_chunk, tasks)))
     elapsed = time.perf_counter() - start
     out = out.reshape(len(n_list), reps, len(methods))
     return n_list, methods, out, dict.fromkeys(methods, elapsed)
@@ -380,7 +445,7 @@ def rejection_table(
     q = _check_q(q, setting.p)
     n_list, methods, out, timings = _cells(
         setting, n_list, methods, reps, seed,
-        partial(_rejection_entry, q=q, alpha=alpha, test_kind=test_kind,
+        partial(_rejection_entries, q=q, alpha=alpha, test_kind=test_kind,
                 b_reps=b_reps), n_jobs)
     return FrequencyTable(n_list, methods, out.mean(axis=1), timings)
 
@@ -401,7 +466,7 @@ def dimension_table(
     _check_test_args(estimator_kind, b_reps, seed, alpha, strategy, table=True)
     n_list, methods, out, timings = _cells(
         setting, n_list, methods, reps, seed,
-        partial(_dimension_entry, alpha=alpha, strategy=strategy,
+        partial(_dimension_entries, alpha=alpha, strategy=strategy,
                 test_kind=estimator_kind, b_reps=b_reps), n_jobs)
     p = setting.p
     hits = np.minimum(out, p)[..., None] == np.arange(p + 1)

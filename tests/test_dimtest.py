@@ -154,6 +154,37 @@ class TestChi2Tail:
                 big = want > 1e-300
                 np.testing.assert_allclose(got[big], want[big], rtol=1e-10, atol=0)
 
+    @pytest.mark.parametrize("k", [1, 2, 6])
+    def test_batch_rows_are_single_calls(self, k):
+        # A (..., p) batch of statistics gives each row the numbers of its
+        # own call; k = 1 and 2 have odd df, whose erfc slots are batched.
+        rng = np.random.default_rng(k)
+        for p in (1, 5, 20):
+            r = p - np.arange(p)
+            df = k * r * (r + 1) // 2
+            stat = df * rng.uniform(0.0, 3.0, size=(3, 4, p))
+            got = _chi2_sf(stat, k)
+            assert got.shape == stat.shape
+            for i, j in itertools.product(range(3), range(4)):
+                assert np.array_equal(got[i, j], _chi2_sf(stat[i, j], k))
+
+    def test_batched_tests_are_single_tests(self):
+        # _chi2_tests over a batch of stacks: every array of every stack
+        # equals that stack's own call; the degrees of freedom, which only
+        # k and p decide, are shared.
+        from sosdim.dimtest import _chi2_tests
+        from sosdim.series import _whiten
+
+        xt = np.random.default_rng(8).standard_normal((4, 5, 300))
+        for lags in [(1,), (1, 2, 3)]:
+            h = _whiten(xt, LagSet(lags))[1]
+            batch = _chi2_tests(h, 300)
+            for i in range(len(xt)):
+                single = _chi2_tests(h[i], 300)
+                assert np.array_equal(batch[3], single[3])
+                for j in (0, 1, 2, 4):
+                    assert np.array_equal(batch[j][i], single[j])
+
 
 class TestNoiseTest:
     @pytest.mark.parametrize("call", ["noise_test", "estimate_dimension"])

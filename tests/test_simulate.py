@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.signal import lfilter
 
 from sosdim import InvalidInputError, MultiSeries
 from sosdim.simulate import (
@@ -270,6 +271,56 @@ class TestSimulateSetting:
         assert np.array_equal(x.values, z.values)
 
 
+    @staticmethod
+    def reference_draw(setting, n, seed):
+        # One replicate drawn process by process, one filter call and one
+        # mixing product each, as a table drew before its draws were batched.
+        children = np.random.SeedSequence(seed).spawn(setting.p + 1)
+        cols = []
+        for spec, child in zip(setting.processes, children):
+            rng = np.random.default_rng(child)
+            burn = 1000 + 10 * spec.order
+            if spec.innovation == "gaussian":
+                eps = rng.standard_normal(n + burn)
+            else:
+                eps = rng.standard_t(spec.t_df, size=n + burn)
+                eps *= np.sqrt((spec.t_df - 2.0) / spec.t_df)
+            if spec.kind == "white":
+                cols.append(eps[burn:])
+            else:
+                v = lfilter([1.0, *spec.ma], [1.0, *(-a for a in spec.ar)], eps)
+                cols.append(v[burn:] / np.sqrt(theoretical_variance(spec)))
+        z = np.column_stack(cols)
+        omega = np.eye(setting.p)
+        if setting.mixing == "uniform":
+            rng = np.random.default_rng(children[setting.p])
+            while True:
+                omega = rng.uniform(0.0, 1.0, size=(setting.p, setting.p))
+                if np.linalg.cond(omega) < 1e8:
+                    break
+        return z @ omega.T, omega, z
+
+    @pytest.mark.parametrize("name", ["H1", "D1", "S5"])
+    def test_batched_draw_keeps_the_entropy_contract(self, name):
+        # A chunk of replicates (n, rep) is drawn in one batch; each
+        # replicate must be the draw of its own entropy [seed, n, rep],
+        # whatever chunk it falls in.
+        from sosdim.simulate import _draw
+
+        s, n, seed = make_setting(name), 300, 13
+        entropies = [[seed, n, rep] for rep in range(2, 6)]
+        x, omega, z = _draw(s, n, entropies)
+        assert x.shape == z.shape == (4, n, s.p)
+        for i, entropy in enumerate(entropies):
+            one = simulate_setting(s, n, entropy)
+            ref = self.reference_draw(s, n, entropy)
+            for got, want in zip((x[i], omega[i], z[i]),
+                                 (one[0].values, one[1], one[2].values)):
+                assert np.array_equal(got, want), (name, i)
+            for got, want in zip((x[i], omega[i], z[i]), ref):
+                assert np.array_equal(got, want), (name, i)
+
+
 class TestTables:
     def test_rejection_table_shape_and_determinism_across_workers(self):
         s = make_setting("H1")
@@ -446,16 +497,19 @@ class TestTables:
             assert np.array_equal(dim.freq[:, j], one_dim.freq[:, 0])
 
     def test_bootstrap_table_whitens_each_draw_once(self, monkeypatch):
+        # The table whitens a chunk of draws in one kernel call; count the
+        # replicates that pass through it. The bootstrap's own resamples go
+        # through dimtest's reference to the kernel and are not counted.
         import sosdim.simulate
 
         calls = []
-        original = sosdim.simulate.standardized_autocovs
+        original = sosdim.simulate._whiten
 
-        def counted(x, lags):
-            calls.append(tuple(lags))
-            return original(x, lags)
+        def counted(xt, lags):
+            calls.extend([tuple(lags)] * len(xt))
+            return original(xt, lags)
 
-        monkeypatch.setattr(sosdim.simulate, "standardized_autocovs", counted)
+        monkeypatch.setattr(sosdim.simulate, "_whiten", counted)
         s = make_setting("H1")
         args = (s, [150, 200], ("amuse", "sobi6"))
         common = {"reps": 2, "seed": 3, "b_reps": 3, "n_jobs": 1}
@@ -463,6 +517,40 @@ class TestTables:
         dimension_table(*args, estimator_kind="bootstrap", **common)
         # Two tables of 2 x 2 replicates, each whitened once over lags 1..6.
         assert calls == [tuple(range(1, 7))] * 8
+
+    @pytest.mark.parametrize("test_kind", ["asymptotic", "bootstrap"])
+    @pytest.mark.parametrize("name", ["H1", "S5"])
+    def test_chunk_size_leaves_the_tables_unchanged(self, monkeypatch, name,
+                                                    test_kind):
+        # A task draws, whitens and tests a chunk of replicates at once.
+        # Chunks of one replicate and chunks of a whole cell must give the
+        # same tables, as the bootstrap's chunks give the same p-values.
+        import sosdim.dimtest
+        import sosdim.simulate
+
+        sizes = []
+        original = sosdim.simulate._whiten
+
+        def counted(xt, lags):
+            sizes.append(len(xt))
+            return original(xt, lags)
+
+        monkeypatch.setattr(sosdim.simulate, "_whiten", counted)
+        s = make_setting(name)
+        n_list, reps = [150, 400], 3 if test_kind == "bootstrap" else 6
+        common = {"reps": reps, "seed": 17, "b_reps": 9, "n_jobs": 1}
+        got = {}
+        for chunk_bytes, chunk in [(0, 1), (1 << 40, reps)]:
+            monkeypatch.setattr(sosdim.dimtest, "_CHUNK_BYTES", chunk_bytes)
+            sizes.clear()
+            rej = rejection_table(s, n_list, ("amuse", "sobi6"), q=3,
+                                  test_kind=test_kind, **common)
+            dim = dimension_table(s, n_list, ("sobi12", "amuse"),
+                                  estimator_kind=test_kind, **common)
+            assert sizes == [chunk] * (2 * len(n_list) * reps // chunk)
+            got[chunk] = rej.values, dim.freq
+        assert np.array_equal(got[1][0], got[reps][0])
+        assert np.array_equal(got[1][1], got[reps][1])
 
     @pytest.mark.parametrize("test_kind", ["asymptotic", "bootstrap"])
     def test_tables_agree_with_the_library(self, test_kind):
