@@ -103,7 +103,7 @@ def build_parser() -> argparse.ArgumentParser:
                      help="comma-separated estimator presets")
     _add_test_flags(sim)
     sim.add_argument("--strategy", choices=STRATEGIES, default="divide_and_conquer")
-    sim.add_argument("--threads", type=int, default=1,
+    sim.add_argument("--threads", type=int, default=os.cpu_count() or 1,
                      help="replicate pool size; results are thread-count independent")
     _add_common(sim)
     return parser

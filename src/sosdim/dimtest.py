@@ -202,16 +202,18 @@ def _bootstrap_p(zt: np.ndarray, lags: LagSet, q: int, m_hat: float,
     return (1 + count) / (b_reps + 1)
 
 
-def _p_values(x: MultiSeries, lags: LagSet, w: np.ndarray, tests,
+def _p_values(x: np.ndarray, lags: LagSet, w: np.ndarray, tests,
               test_kind: str, b_reps: int, seed_of):
-    """p_value(q) from the _chi2_tests arrays of the stack of x whitened by
-    w: the asymptotic p-value of q, or its bootstrap of b_reps replicates
-    seeded by seed_of(q). The bootstrap resamples the centred sources
-    (x - xbar) @ (w @ u) on the energy basis u, time-major as a
-    C-contiguous p x T array. The arguments are not checked."""
+    """p_value(q) from the _chi2_tests arrays of the stack of the T x p
+    values x whitened by w: the asymptotic p-value of q, or its bootstrap
+    of b_reps replicates seeded by seed_of(q). The asymptotic p_value also
+    reads the arrays of a batch of b stacks, and then gives their b
+    p-values of q; x and w are not read. The bootstrap resamples the
+    centred sources (x - xbar) @ (w @ u) on the energy basis u, time-major
+    as a C-contiguous p x T array. The arguments are not checked."""
     if test_kind == "asymptotic":
-        return tests[4].__getitem__
-    zt = np.ascontiguousarray(((x.values - x.values.mean(axis=0)) @ (w @ tests[0])).T)
+        return tests[4].T.__getitem__
+    zt = np.ascontiguousarray(((x - x.mean(axis=0)) @ (w @ tests[0])).T)
 
     def p_value(q: int) -> float:
         return _bootstrap_p(zt, lags, q, tests[1][q], b_reps, seed_of(q))
@@ -219,7 +221,7 @@ def _p_values(x: MultiSeries, lags: LagSet, w: np.ndarray, tests,
     return p_value
 
 
-def _estimate(x: MultiSeries, lags: LagSet, w: np.ndarray, tests,
+def _estimate(x: np.ndarray, lags: LagSet, w: np.ndarray, tests,
               alpha: float, strategy: str, test_kind: str, b_reps: int, seed):
     """_select_dimension's (d_hat, {q: p}) on the p-values of _p_values.
     The bootstrap of q is seeded by [word, q]: word is an integer seed as
@@ -262,7 +264,8 @@ def _noise_test(x, lags, q, method, test_kind, b_reps=0, seed=None) -> TestResul
     lags, w, h = _whitened(x, lags, method)
     q = _check_q(q, x.p)
     tests = _chi2_tests(h, x.T)
-    p_value = _p_values(x, lags, w, tests, test_kind, b_reps, lambda _: seed)
+    p_value = _p_values(x.values, lags, w, tests, test_kind, b_reps,
+                        lambda _: seed)
     return _result(tests, q, p_value(q), lags, method)
 
 
@@ -368,8 +371,8 @@ def _dimension_estimate(x, lags, w, h, method, alpha, strategy, test_kind,
     if len(w) != x.p:
         raise InvalidInputError("fit and series dimensions disagree")
     tests = _chi2_tests(h, x.T)
-    d_hat, seen = _estimate(x, lags, w, tests, alpha, strategy, test_kind,
-                            b_reps, seed)
+    d_hat, seen = _estimate(x.values, lags, w, tests, alpha, strategy,
+                            test_kind, b_reps, seed)
     trace = tuple(_result(tests, q, p, lags, method) for q, p in seen.items())
     return DimensionEstimate(d_hat=d_hat, strategy=strategy, alpha=alpha,
                              trace=trace, method=method, lags=lags)

@@ -30,10 +30,12 @@ holds as many replicates as fit, as n x p float64 series, in
 dimtest._CHUNK_BYTES, and at most the table's replicates over its
 workers, so that every worker has a task. Every replicate's numbers are
 those of the replicate drawn and tested on its own, so no table depends
-on the chunk size or the worker count. An asymptotic table reads the
-p-values of the batch; the bootstrap runs per replicate, evaluates only
-the q its table needs and seeds its resampling from
-[master_seed, n, rep, 1] (rejection) or [master_seed, n, rep, 2]
+on the chunk size or the worker count. dimtest._p_values turns the
+arrays into p-values: an asymptotic rejection table reads the p-values
+of q of the whole chunk in one call, and a dimension table runs its
+strategy per replicate (dimtest._estimate). The bootstrap runs per
+replicate, evaluates only the q its table needs and seeds its resampling
+from [master_seed, n, rep, 1] (rejection) or [master_seed, n, rep, 2]
 (dimension), as bootstrap_noise_test and estimate_dimension do given
 those seeds.
 """
@@ -52,7 +54,7 @@ from scipy.signal import lfilter
 from . import presets
 from .bss import LAG_PRESETS
 from .dimtest import (_check_q, _check_test_args, _chi2_tests, _chunk_reps,
-                      _estimate, _p_values, _select_dimension)
+                      _estimate, _p_values)
 from .errors import InvalidInputError, LagTooLargeError
 from .series import LagSet, MultiSeries, _as_int, _check_finite, _whiten
 
@@ -335,19 +337,20 @@ def _method_lags(method: str) -> LagSet:
 
 
 def _replicates(x, w, tests):
-    """Each replicate's (series, whitener, _chi2_tests arrays) from the
+    """Each replicate's (values, whitener, _chi2_tests arrays) from the
     batched arrays of a chunk."""
     u, m_hat, stat, df, p_value = tests
-    return [(MultiSeries(x[i]), w[i], (u[i], m_hat[i], stat[i], df, p_value[i]))
+    return [(x[i], w[i], (u[i], m_hat[i], stat[i], df, p_value[i]))
             for i in range(len(x))]
 
 
 def _rejection_entries(x, lags, w, tests, entropies, q, alpha, test_kind,
                        b_reps):
     """1.0 for each replicate of the chunk whose test of q rejects at level
-    alpha, else 0.0."""
+    alpha, else 0.0. The asymptotic p-values of q are read for the whole
+    chunk at once."""
     if test_kind == "asymptotic":
-        p = tests[4][:, q]
+        p = _p_values(x, lags, w, tests, test_kind, b_reps, None)(q)
     else:
         p = [_p_values(xi, lags, wi, ti, test_kind, b_reps, lambda _: [*e, 1])(q)
              for (xi, wi, ti), e in zip(_replicates(x, w, tests), entropies)]
@@ -358,9 +361,6 @@ def _dimension_entries(x, lags, w, tests, entropies, alpha, strategy,
                        test_kind, b_reps):
     """The estimated dimension of each replicate of the chunk under the
     strategy."""
-    if test_kind == "asymptotic":
-        return [_select_dimension(pv.__getitem__, len(pv), alpha, strategy)[0]
-                for pv in tests[4]]
     return [_estimate(xi, lags, wi, ti, alpha, strategy, test_kind, b_reps,
                       [*e, 2])[0]
             for (xi, wi, ti), e in zip(_replicates(x, w, tests), entropies)]
