@@ -49,7 +49,7 @@ from .series import (
     symmetrize,
 )
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
 # The Monte Carlo harness is imported on first use (PEP 562): sosdim.simulate
 # loads scipy.signal, which estimation and testing do not need.

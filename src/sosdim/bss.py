@@ -39,7 +39,6 @@ class UnmixingResult:
     lags: LagSet
     pseudo_sums: np.ndarray  # per-column order key, non-increasing, length p
     method: str  # "amuse" | "sobi"
-    converged: bool
 
     @property
     def p(self) -> int:
@@ -90,7 +89,6 @@ def sobi(x: MultiSeries, lags) -> UnmixingResult:
         lags=lags,
         pseudo_sums=(jd.diag_profiles**2).sum(axis=0),
         method="sobi",
-        converged=jd.converged,
     )
 
 
@@ -109,7 +107,7 @@ def _whitened(x: MultiSeries, lags, method: str):
 def energy_unmix(x: MultiSeries, lags, method: str) -> UnmixingResult:
     """The fit of x on the energy basis of its stack (see _energy_basis).
     For "sobi" that basis replaces the joint diagonalizer's rotation, so
-    the diagonalizer is not run and the fit reports converged."""
+    the diagonalizer is not run."""
     lags, m, h = _whitened(x, lags, method)
     energy, u = _energy_basis(h)
     return UnmixingResult(
@@ -119,7 +117,6 @@ def energy_unmix(x: MultiSeries, lags, method: str) -> UnmixingResult:
         lags=lags,
         pseudo_sums=energy,
         method=method,
-        converged=True,
     )
 
 

@@ -425,7 +425,6 @@ _ENTRY_FIELDS = {
     "stat": {"type": "number", "minimum": 0},
     "df": {"type": "integer", "minimum": 1},
     "p_value": {"type": "number", "minimum": 0, "maximum": 1},
-    "converged": {"type": "boolean"},
 }
 
 #: Stable JSON report schema for dimension estimates.
@@ -459,9 +458,6 @@ def _test_entry(ts: TestResult) -> dict:
         "stat": ts.scaled_stat,
         "df": ts.df,
         "p_value": ts.p_value,
-        # The schemas require the key. No iterative step decides the
-        # tested basis (see all_q_tests), so every test has converged.
-        "converged": True,
     }
 
 

@@ -42,10 +42,9 @@ those seeds.
 
 from __future__ import annotations
 
-import time
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache, partial
 
 import numpy as np
@@ -266,17 +265,11 @@ def _draw(setting: SimSetting, n: int, seeds):
 
 @dataclass
 class FrequencyTable:
-    """Rejection frequencies: rows = sample sizes, columns = methods.
-
-    timings maps each method to the table's wall-clock seconds, from
-    opening the process pool to closing it: the methods share every draw,
-    so no method has a time of its own.
-    """
+    """Rejection frequencies: rows = sample sizes, columns = methods."""
 
     rows: tuple  # n values
     cols: tuple  # method labels
     values: np.ndarray  # len(rows) x len(cols)
-    timings: dict = field(default_factory=dict)  # method -> table seconds
 
     def to_csv(self) -> str:
         lines = ["n," + ",".join(self.cols)]
@@ -291,23 +284,17 @@ class FrequencyTable:
             "rows": list(self.rows),
             "cols": list(self.cols),
             "values": [[float(v) for v in row] for row in self.values],
-            "timings": {k: float(v) for k, v in self.timings.items()},
         }
 
 
 @dataclass
 class DimensionTable:
-    """Empirical distribution of the estimated dimension per (n, method).
-
-    timings is as in FrequencyTable: the table's wall-clock seconds under
-    each method's key.
-    """
+    """Empirical distribution of the estimated dimension per (n, method)."""
 
     rows: tuple  # n values
     cols: tuple  # method labels
     p: int
     freq: np.ndarray  # len(rows) x len(cols) x (p + 1)
-    timings: dict = field(default_factory=dict)  # method -> table seconds
 
     def to_csv(self) -> str:
         lines = ["n,method,d_hat,frequency"]
@@ -323,7 +310,6 @@ class DimensionTable:
             "cols": list(self.cols),
             "p": self.p,
             "freq": self.freq.tolist(),
-            "timings": {k: float(v) for k, v in self.timings.items()},
         }
 
 
@@ -383,9 +369,8 @@ def _chunk(args):
 def _cells(setting, n_list, methods, reps, seed, entry, n_jobs):
     """Every method's entry on every replicate (n, rep).
 
-    Returns n_list and methods as tuples, a len(n_list) x reps x
-    len(methods) array of the entries and the table's wall-clock seconds
-    under each method's key. Replicate (n, rep) draws from entropy
+    Returns n_list and methods as tuples and a len(n_list) x reps x
+    len(methods) array of the entries. Replicate (n, rep) draws from entropy
     [seed, n, rep] whichever task runs it. A task is one n and a chunk of
     consecutive replicates, drawn, whitened and tested in one batched call
     each: as many replicates as fit, as n x p float64 series, in
@@ -420,12 +405,9 @@ def _cells(setting, n_list, methods, reps, seed, entry, n_jobs):
         tasks += [(setting, n, range(reps)[first:first + step], seed, union,
                    plan, entry) for first in range(0, reps, step)]
     parallel = workers > 1
-    start = time.perf_counter()
     with ProcessPoolExecutor(workers) if parallel else nullcontext() as pool:
         out = np.concatenate(list((pool.map if parallel else map)(_chunk, tasks)))
-    elapsed = time.perf_counter() - start
-    out = out.reshape(len(n_list), reps, len(methods))
-    return n_list, methods, out, dict.fromkeys(methods, elapsed)
+    return n_list, methods, out.reshape(len(n_list), reps, len(methods))
 
 
 def rejection_table(
@@ -443,11 +425,11 @@ def rejection_table(
     """Fraction of replicates rejecting H_{0q} per (n, method) cell."""
     _check_test_args(test_kind, b_reps, seed, alpha, table=True)
     q = _check_q(q, setting.p)
-    n_list, methods, out, timings = _cells(
+    n_list, methods, out = _cells(
         setting, n_list, methods, reps, seed,
         partial(_rejection_entries, q=q, alpha=alpha, test_kind=test_kind,
                 b_reps=b_reps), n_jobs)
-    return FrequencyTable(n_list, methods, out.mean(axis=1), timings)
+    return FrequencyTable(n_list, methods, out.mean(axis=1))
 
 
 def dimension_table(
@@ -464,11 +446,11 @@ def dimension_table(
 ) -> DimensionTable:
     """Empirical distribution of the estimated dimension per (n, method)."""
     _check_test_args(estimator_kind, b_reps, seed, alpha, strategy, table=True)
-    n_list, methods, out, timings = _cells(
+    n_list, methods, out = _cells(
         setting, n_list, methods, reps, seed,
         partial(_dimension_entries, alpha=alpha, strategy=strategy,
                 test_kind=estimator_kind, b_reps=b_reps), n_jobs)
     p = setting.p
-    hits = np.minimum(out, p)[..., None] == np.arange(p + 1)
+    hits = out[..., None] == np.arange(p + 1)
     freq = hits.sum(axis=1) / reps
-    return DimensionTable(n_list, methods, p, freq, timings)
+    return DimensionTable(n_list, methods, p, freq)

@@ -172,7 +172,6 @@ class TestEnergyBasis:
         assert np.allclose(np.diag(energy), fit.pseudo_sums,
                            rtol=1e-10, atol=1e-10 * np.trace(energy))
         assert np.all(np.diff(np.diag(energy)) <= 1e-15)
-        assert fit.converged
 
     def test_energy_unmix_matches_rotated_sobi_fit(self):
         # A SOBI fit rotated onto the energy basis of its own stack.

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from sosdim.cli import EXIT_INPUT, EXIT_NUMERIC, EXIT_OK, SEED_ENV_VAR, main
-from sosdim.dimtest import REPORT_SCHEMA, TEST_SCHEMA
+from sosdim.dimtest import REPORT_SCHEMA, TEST_SCHEMA, _ENTRY_FIELDS
 
 
 @pytest.fixture
@@ -81,7 +81,7 @@ class TestEstimate:
         code, out, _ = run(["estimate", "--input", noise_csv,
                             "--format", "csv"], capsys)
         assert code == EXIT_OK
-        assert out.splitlines()[0] == "q,stat,df,p_value,converged"
+        assert out.splitlines()[0] == "q,stat,df,p_value"
 
     def test_text_format(self, noise_csv, capsys):
         code, out, _ = run(["estimate", "--input", noise_csv,
@@ -259,6 +259,23 @@ class TestTest:
 
         jsonschema.validate(report, TEST_SCHEMA)
 
+    @pytest.mark.parametrize("kind", ["asymptotic", "bootstrap"])
+    def test_reports_carry_exactly_their_schema_keys(self, noise_csv, capsys,
+                                                     kind):
+        # jsonschema.validate accepts extra keys, so pin the key sets.
+        fit = ["--input", noise_csv, "--test-kind", kind, "-B", "9",
+               "--seed", "5"]
+        _, out, _ = run(["test", *fit, "--q", "1"], capsys)
+        assert set(json.loads(out)) == set(TEST_SCHEMA["properties"])
+        _, out, _ = run(["estimate", *fit], capsys)
+        report = json.loads(out)
+        assert set(report) == set(REPORT_SCHEMA["properties"])
+        trace = report["trace"]
+        assert trace and all(set(t) == set(_ENTRY_FIELDS) for t in trace)
+        for command in (["test", *fit, "--q", "1"], ["estimate", *fit]):
+            _, out, _ = run([*command, "--format", "csv"], capsys)
+            assert out.splitlines()[0] == ",".join(_ENTRY_FIELDS)
+
 
 class TestSimulate:
     def test_rejection_table_smoke(self, capsys):
@@ -269,7 +286,8 @@ class TestSimulate:
         ], capsys)
         assert code == EXIT_OK
         assert out.splitlines()[0] == "n,amuse"
-        assert "wall-clock amuse" in err
+        assert "# wall-clock total:" in err
+        assert "wall-clock amuse" not in err
 
     def test_dimension_table_json(self, capsys):
         code, out, _ = run([
