@@ -105,7 +105,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_test_flags(sim)
     sim.add_argument("--strategy", choices=STRATEGIES, default="divide_and_conquer")
     sim.add_argument("--threads", type=int, default=os.cpu_count() or 1,
-                     help="replicate pool size; results are thread-count independent")
+                     help="worker processes, this one included; results do not "
+                          "depend on it")
     _add_common(sim)
     return parser
 

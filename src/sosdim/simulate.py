@@ -3,7 +3,9 @@
 All randomness flows through numpy SeedSequence entropy lists, so a table
 regenerated with the same master seed is bit-identical regardless of the
 worker count: replicate (n, rep) always draws from entropy
-[master_seed, n, rep].
+[master_seed, n, rep], process j from its child
+SeedSequence([master_seed, n, rep], spawn_key=(j,)) and the mixing from
+child p.
 
 The named settings (make_setting; presets holds the coefficients), signals
 first, then noise, every process at unit variance. S5 is a synthetic
@@ -28,14 +30,16 @@ whitening uses the same S0^{-1/2} for every lag, so the rows hold
 exactly the numbers a stack of the method's lags alone would. A chunk
 holds as many replicates as fit, as n x p float64 series, in
 dimtest._CHUNK_BYTES, and at most the table's replicates over its
-workers, so that every worker has a task. Every replicate's numbers are
-those of the replicate drawn and tested on its own, so no table depends
-on the chunk size or the worker count. dimtest._p_values turns the
-arrays into p-values: an asymptotic rejection table reads the p-values
-of q of the whole chunk in one call, and a dimension table runs its
-strategy per replicate (dimtest._estimate). The bootstrap runs per
-replicate, evaluates only the q its table needs and seeds its resampling
-from [master_seed, n, rep, 1] (rejection) or [master_seed, n, rep, 2]
+workers, so that every worker has a task; the calling process is one of
+the workers, so a table at N workers forks a pool of N - 1. Every
+replicate's numbers are those of the replicate drawn and tested on its
+own, so no table depends on the chunk size or the worker count.
+dimtest._p_values turns the arrays into p-values: an asymptotic
+rejection table reads the p-values of q of the whole chunk in one call,
+and a dimension table runs its strategy per replicate
+(dimtest._estimate). The bootstrap runs per replicate, evaluates only
+the q its table needs and seeds its resampling from
+[master_seed, n, rep, 1] (rejection) or [master_seed, n, rep, 2]
 (dimension), as bootstrap_noise_test and estimate_dimension do given
 those seeds.
 """
@@ -43,7 +47,6 @@ those seeds.
 from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
-from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import lru_cache, partial
 
@@ -244,21 +247,25 @@ def mix(sources: MultiSeries, mixing, seed=None):
 def simulate_setting(setting: SimSetting, n: int, seed):
     """Draw one replicate: returns (mixed series, Omega, sources)."""
     x, omega, z = _draw(setting, n, [seed])
-    return MultiSeries(x[0]), omega[0], MultiSeries(z[0])
+    return MultiSeries(x[0].copy()), omega[0], MultiSeries(z[0])
 
 
 def _draw(setting: SimSetting, n: int, seeds):
     """simulate_setting of every seed, batched: (x, Omega, z) as b x n x p,
-    b x p x p and b x n x p arrays, b = len(seeds). Replicate i spawns its
-    p + 1 children from SeedSequence(seeds[i]): child j draws process j
-    and child p the mixing. One _generate call draws each process for every
-    replicate, and one product mixes them all."""
-    children = [np.random.SeedSequence(seed).spawn(setting.p + 1) for seed in seeds]
-    z = np.stack([_generate(spec, n, [c[j] for c in children])
-                  for j, spec in enumerate(setting.processes)], axis=-1)
-    omega = np.array([_mixing(setting.mixing, setting.p, c[-1]) for c in children])
-    x = z @ omega.swapaxes(-1, -2)
+    b x p x p and b x n x p arrays, b = len(seeds). Replicate i draws
+    process j from child SeedSequence(seeds[i], spawn_key=(j,)), which is
+    SeedSequence(seeds[i]).spawn(p + 1)[j], and the mixing from child p.
+    One _generate call draws each process for every replicate, and one
+    product mixes them all; under identity mixing x is z itself."""
+    children = [[np.random.SeedSequence(seed, spawn_key=(j,)) for seed in seeds]
+                for j in range(setting.p + 1)]
+    z = np.stack([_generate(spec, n, seqs)
+                  for spec, seqs in zip(setting.processes, children)], axis=-1)
+    omega = np.array([_mixing(setting.mixing, setting.p, c) for c in children[-1]])
     _check_finite(z)
+    if setting.mixing == "identity":
+        return z, omega, z
+    x = z @ omega.swapaxes(-1, -2)
     _check_finite(x)
     return x, omega, z
 
@@ -376,9 +383,12 @@ def _cells(setting, n_list, methods, reps, seed, entry, n_jobs):
     each: as many replicates as fit, as n x p float64 series, in
     dimtest._CHUNK_BYTES (dimtest._chunk_reps), and at most the table's
     replicates over its workers, so that every worker has a task. The
-    table runs on min(n_jobs, replicates) workers: one process pool, or
-    this process when that is one worker. Every argument is checked before
-    any replicate runs.
+    table runs on min(n_jobs, replicates) workers, this process among them:
+    a pool of the others takes the tasks from the back, and this process
+    runs them from the front until it meets one the pool has started. The
+    results are read in task order, so they, and the first error raised,
+    are those of the tasks run one after another. Every argument is checked
+    before any replicate runs.
     """
     reps, n_jobs = _as_int(reps, "reps"), _as_int(n_jobs, "n_jobs")
     if reps < 1:
@@ -404,9 +414,23 @@ def _cells(setting, n_list, methods, reps, seed, entry, n_jobs):
         step = min(_chunk_reps(setting.p, n, reps), total // workers)
         tasks += [(setting, n, range(reps)[first:first + step], seed, union,
                    plan, entry) for first in range(0, reps, step)]
-    parallel = workers > 1
-    with ProcessPoolExecutor(workers) if parallel else nullcontext() as pool:
-        out = np.concatenate(list((pool.map if parallel else map)(_chunk, tasks)))
+    if workers == 1:
+        out = [_chunk(task) for task in tasks]
+    else:
+        with ProcessPoolExecutor(workers - 1) as pool:
+            futures = [pool.submit(_chunk, task) for task in reversed(tasks)][::-1]
+            out = []
+            try:
+                for task, future in zip(tasks, futures):
+                    if not future.cancel():
+                        break
+                    out.append(_chunk(task))
+                out += [future.result() for future in futures[len(out):]]
+            except BaseException:
+                for future in futures:
+                    future.cancel()
+                raise
+    out = np.concatenate(out)
     return n_list, methods, out.reshape(len(n_list), reps, len(methods))
 
 

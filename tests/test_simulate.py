@@ -1,3 +1,5 @@
+from functools import partial
+
 import numpy as np
 import pytest
 from scipy.signal import lfilter
@@ -269,6 +271,7 @@ class TestSimulateSetting:
         x, omega, z = simulate_setting(s, 400, 11)
         assert np.array_equal(omega, np.eye(5))
         assert np.array_equal(x.values, z.values)
+        assert not np.shares_memory(x.values, z.values)
 
 
     @staticmethod
@@ -437,40 +440,105 @@ class TestTables:
             else:
                 dimension_table(s, n_list, **args)
 
-    @pytest.mark.parametrize("n_list, reps, n_jobs, pools", [
-        ([200], 1, 4, []),
-        ([200, 300], 1, 8, [2]),
-        ([200], 3, 2, [2]),
-        ([200], 3, 1, []),
-    ], ids=["one-task", "two-tasks", "as-asked", "serial"])
+    # When the caller asks to cancel the i-th task submitted to a pool of
+    # `workers`, has the pool started it? A ProcessPoolExecutor starts as
+    # many as its call queue holds, workers + 1, in submission order.
+    STARTED = {"queue": lambda i, workers: i < workers + 1,
+               "all": lambda i, workers: True,
+               "none": lambda i, workers: False}
+
+    class Recording:
+        # A stand-in for the pool: it runs the tasks in this process, adds
+        # itself to `opened`, keeps its futures and hands out ones that
+        # cancel unless started(i, workers) says the pool has started the
+        # task.
+        def __init__(self, opened, started, max_workers):
+            opened.append(self)
+            self.max_workers, self.futures = max_workers, []
+            self.started = partial(started, workers=max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, task):
+            started = self.started(len(self.futures))
+            self.futures.append(TestTables.Future(partial(fn, task), started))
+            return self.futures[-1]
+
+    class Future:
+        def __init__(self, run, started):
+            self.run, self.started, self.cancelled = run, started, False
+
+        def cancel(self):
+            self.cancelled = self.cancelled or not self.started
+            return self.cancelled
+
+        def result(self):
+            assert not self.cancelled, "read a cancelled future"
+            return self.run()
+
+    @pytest.mark.parametrize("n_list, reps, n_jobs, pools, started", [
+        ([200], 1, 4, [], "queue"),
+        ([200, 300], 1, 8, [1], "queue"),
+        ([200], 3, 2, [1], "queue"),
+        ([200], 3, 1, [], "queue"),
+        ([200], 6, 3, [2], "all"),
+        ([200], 6, 3, [2], "none"),
+    ], ids=["one-task", "two-tasks", "as-asked", "serial", "pool-runs-all",
+            "caller-runs-all"])
     def test_pool_never_outnumbers_the_replicates(self, monkeypatch, n_list,
-                                                  reps, n_jobs, pools):
-        # A recording stand-in for the pool: it runs the tasks in this
-        # process and keeps each pool's worker count.
+                                                  reps, n_jobs, pools,
+                                                  started):
+        # The calling process is one of the workers, so a table at N
+        # workers opens a pool of N - 1, and whichever of them runs a task
+        # the table is the serial one.
         import sosdim.simulate
 
         opened = []
-
-        class Recording:
-            def __init__(self, max_workers):
-                opened.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, tasks, chunksize=1):
-                return map(fn, tasks)
-
-        monkeypatch.setattr(sosdim.simulate, "ProcessPoolExecutor", Recording)
+        monkeypatch.setattr(sosdim.simulate, "ProcessPoolExecutor",
+                            partial(self.Recording, opened, self.STARTED[started]))
         s = make_setting("H1")
         t = dimension_table(s, n_list, ["amuse"], reps=reps, seed=8,
                             n_jobs=n_jobs)
-        assert opened == pools
+        assert [pool.max_workers for pool in opened] == pools
         serial = dimension_table(s, n_list, ["amuse"], reps=reps, seed=8)
         assert np.array_equal(t.freq, serial.freq)
+
+    @pytest.mark.parametrize("started", ["queue", "all", "none"])
+    @pytest.mark.parametrize("failing", [(1, 2), (0, 2)],
+                             ids=["pool-tasks", "caller-and-pool-tasks"])
+    def test_a_table_raises_the_error_of_its_first_failing_task(
+            self, monkeypatch, failing, started):
+        # Two workers run three one-replicate tasks: the pool takes them
+        # from the back and the caller from the front. Whoever runs them,
+        # the error raised is the lowest failing replicate's, as at
+        # n_jobs=1, where one task holds all three, and no task the pool
+        # has not started is left to run.
+        import sosdim.simulate
+
+        chunk = sosdim.simulate._chunk
+
+        def fail_some(task):
+            bad = [rep for rep in task[2] if rep in failing]
+            if bad:
+                raise RuntimeError(f"replicate {bad[0]} failed")
+            return chunk(task)
+
+        monkeypatch.setattr(sosdim.simulate, "_chunk", fail_some)
+        opened = []
+        monkeypatch.setattr(sosdim.simulate, "ProcessPoolExecutor",
+                            partial(self.Recording, opened, self.STARTED[started]))
+        s = make_setting("H1")
+        for n_jobs in (1, 2):
+            with pytest.raises(RuntimeError,
+                               match=f"replicate {failing[0]} failed"):
+                dimension_table(s, [200], ["amuse"], reps=3, seed=8,
+                                n_jobs=n_jobs)
+        assert [pool.max_workers for pool in opened] == [1]
+        assert all(f.started or f.cancelled for f in opened[0].futures)
 
     @pytest.mark.parametrize("test_kind", ["asymptotic", "bootstrap"])
     @pytest.mark.parametrize("methods", [("amuse", "sobi6", "sobi12"),
