@@ -147,14 +147,15 @@ def _chi2_tests(h: np.ndarray, T: int):
     """(u, m_hat, stat, df, p_value) of every q from the whitened stack h
     of a length-T series: u is its energy basis and the rest are arrays
     indexed by q. A (..., k, p, p) batch of stacks of length-T series gives
-    every array but df, which only k and p decide, the batch's leading
-    axes. The one place the statistic is scaled to chi-square."""
+    every array the batch's leading axes, so zip(*tests) yields each
+    stack's own tests. The one place the statistic is scaled to
+    chi-square."""
     u = _energy_basis(h)[1]
     k, p = h.shape[-3:-1]
     m_hat = _m_hat(h, u)
     r = p - np.arange(p)
     stat = T * k * r * r * m_hat
-    df = k * r * (r + 1) // 2
+    df = np.broadcast_to(k * r * (r + 1) // 2, stat.shape)
     return u, m_hat, stat, df, _chi2_sf(stat, k)
 
 
@@ -206,13 +207,11 @@ def _p_values(x: np.ndarray, lags: LagSet, w: np.ndarray, tests,
               test_kind: str, b_reps: int, seed_of):
     """p_value(q) from the _chi2_tests arrays of the stack of the T x p
     values x whitened by w: the asymptotic p-value of q, or its bootstrap
-    of b_reps replicates seeded by seed_of(q). The asymptotic p_value also
-    reads the arrays of a batch of b stacks, and then gives their b
-    p-values of q; x and w are not read. The bootstrap resamples the
+    of b_reps replicates seeded by seed_of(q). The bootstrap resamples the
     centred sources (x - xbar) @ (w @ u) on the energy basis u, time-major
     as a C-contiguous p x T array. The arguments are not checked."""
     if test_kind == "asymptotic":
-        return tests[4].T.__getitem__
+        return tests[4].__getitem__
     zt = np.ascontiguousarray(((x - x.mean(axis=0)) @ (w @ tests[0])).T)
 
     def p_value(q: int) -> float:

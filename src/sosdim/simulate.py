@@ -34,14 +34,15 @@ workers, so that every worker has a task; the calling process is one of
 the workers, so a table at N workers forks a pool of N - 1. Every
 replicate's numbers are those of the replicate drawn and tested on its
 own, so no table depends on the chunk size or the worker count.
-dimtest._p_values turns the arrays into p-values: an asymptotic
-rejection table reads the p-values of q of the whole chunk in one call,
-and a dimension table runs its strategy per replicate
-(dimtest._estimate). The bootstrap runs per replicate, evaluates only
-the q its table needs and seeds its resampling from
-[master_seed, n, rep, 1] (rejection) or [master_seed, n, rep, 2]
-(dimension), as bootstrap_noise_test and estimate_dimension do given
-those seeds.
+zip(*tests) splits a method's batched arrays into each replicate's own,
+and every entry is computed from one replicate's draw, whitener and
+tests, as the library computes one series': a rejection entry reads
+dimtest._p_values(...)(q), as noise_test and bootstrap_noise_test do,
+and a dimension entry runs its strategy through dimtest._estimate, as
+estimate_dimension does. The bootstrap evaluates only the q its table
+needs and seeds its resampling from [master_seed, n, rep, 1] (rejection)
+or [master_seed, n, rep, 2] (dimension), as bootstrap_noise_test and
+estimate_dimension do given those seeds.
 """
 
 from __future__ import annotations
@@ -329,47 +330,32 @@ def _method_lags(method: str) -> LagSet:
     return LagSet(LAG_PRESETS[method])
 
 
-def _replicates(x, w, tests):
-    """Each replicate's (values, whitener, _chi2_tests arrays) from the
-    batched arrays of a chunk."""
-    u, m_hat, stat, df, p_value = tests
-    return [(x[i], w[i], (u[i], m_hat[i], stat[i], df, p_value[i]))
-            for i in range(len(x))]
+def _rejection_entry(x, w, tests, entropy, lags, q, alpha, test_kind, b_reps):
+    """1.0 if the replicate's test of q rejects at level alpha, else 0.0."""
+    return float(_p_values(x, lags, w, tests, test_kind, b_reps,
+                           lambda _: [*entropy, 1])(q) < alpha)
 
 
-def _rejection_entries(x, lags, w, tests, entropies, q, alpha, test_kind,
-                       b_reps):
-    """1.0 for each replicate of the chunk whose test of q rejects at level
-    alpha, else 0.0. The asymptotic p-values of q are read for the whole
-    chunk at once."""
-    if test_kind == "asymptotic":
-        p = _p_values(x, lags, w, tests, test_kind, b_reps, None)(q)
-    else:
-        p = [_p_values(xi, lags, wi, ti, test_kind, b_reps, lambda _: [*e, 1])(q)
-             for (xi, wi, ti), e in zip(_replicates(x, w, tests), entropies)]
-    return np.less(p, alpha).astype(float)
-
-
-def _dimension_entries(x, lags, w, tests, entropies, alpha, strategy,
-                       test_kind, b_reps):
-    """The estimated dimension of each replicate of the chunk under the
-    strategy."""
-    return [_estimate(xi, lags, wi, ti, alpha, strategy, test_kind, b_reps,
-                      [*e, 2])[0]
-            for (xi, wi, ti), e in zip(_replicates(x, w, tests), entropies)]
+def _dimension_entry(x, w, tests, entropy, lags, alpha, strategy, test_kind,
+                     b_reps):
+    """The replicate's estimated dimension under the strategy."""
+    return _estimate(x, lags, w, tests, alpha, strategy, test_kind, b_reps,
+                     [*entropy, 2])[0]
 
 
 def _chunk(args):
-    """entry(x, lags, w, tests, entropies) of every (lags, rows) of the plan
-    on the draws of replicates (n, rep), rep in reps, from entropies
-    [seed, n, rep], as a len(reps) x len(plan) array: x holds the draws as
-    a b x n x p array, w their whiteners and tests the batched _chi2_tests
-    arrays of the rows of their stacks over the union lags."""
+    """entry(x, w, tests, entropy, lags) of every replicate (n, rep), rep in
+    reps, under every (lags, rows) of the plan, as a len(reps) x len(plan)
+    array: x is the replicate's draw from entropy [seed, n, rep], w its
+    whitener and tests the _chi2_tests arrays of the rows of its stack over
+    the union lags. The chunk is drawn and whitened in one call each, and
+    tested in one call per method."""
     setting, n, reps, seed, union, plan, entry = args
     entropies = [[seed, n, rep] for rep in reps]
     x = _draw(setting, n, entropies)[0]
     w, h = _whiten(x.swapaxes(-1, -2), union)
-    return np.array([entry(x, lags, w, _chi2_tests(h[:, rows], n), entropies)
+    return np.array([[entry(*replicate, lags) for replicate in
+                      zip(x, w, zip(*_chi2_tests(h[:, rows], n)), entropies)]
                      for lags, rows in plan], dtype=float).T
 
 
@@ -451,7 +437,7 @@ def rejection_table(
     q = _check_q(q, setting.p)
     n_list, methods, out = _cells(
         setting, n_list, methods, reps, seed,
-        partial(_rejection_entries, q=q, alpha=alpha, test_kind=test_kind,
+        partial(_rejection_entry, q=q, alpha=alpha, test_kind=test_kind,
                 b_reps=b_reps), n_jobs)
     return FrequencyTable(n_list, methods, out.mean(axis=1))
 
@@ -472,7 +458,7 @@ def dimension_table(
     _check_test_args(estimator_kind, b_reps, seed, alpha, strategy, table=True)
     n_list, methods, out = _cells(
         setting, n_list, methods, reps, seed,
-        partial(_dimension_entries, alpha=alpha, strategy=strategy,
+        partial(_dimension_entry, alpha=alpha, strategy=strategy,
                 test_kind=estimator_kind, b_reps=b_reps), n_jobs)
     p = setting.p
     hits = out[..., None] == np.arange(p + 1)

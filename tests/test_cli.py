@@ -213,6 +213,17 @@ class TestEstimate:
         assert out == ""
         assert err.startswith("error: eigenvalue ") and " at or below floor " in err
 
+    def test_linear_algebra_failure_exits_3(self, noise_csv, capsys,
+                                            monkeypatch):
+        def fail(*args, **kwargs):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigh", fail)
+        code, out, err = run(["estimate", "--input", noise_csv], capsys)
+        assert code == EXIT_NUMERIC
+        assert out == ""
+        assert err.startswith("error: numerical failure: ")
+
     def test_unknown_flag(self, noise_csv, capsys):
         # --method is gone: the lags decide it, even where it would agree.
         for flag in (["--bogus"], ["--lags", "1", "--method", "amuse"]):

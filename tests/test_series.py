@@ -34,6 +34,10 @@ class TestContainers:
     def test_multiseries_rejects_single_row(self):
         with pytest.raises(InvalidInputError):
             MultiSeries(np.ones((1, 3)))
+        with pytest.raises(InvalidInputError, match="must be 2-dimensional"):
+            MultiSeries(np.ones((4, 3, 2)))
+        with pytest.raises(InvalidInputError, match="at least 1 component"):
+            MultiSeries(np.ones((4, 0)))
 
     def test_lagset_validation(self):
         assert len(LagSet((1, 2, 6))) == 3
@@ -112,6 +116,8 @@ class TestSampleAutocov:
         x = series(np.random.default_rng(0).standard_normal((10, 2)))
         with pytest.raises(InvalidInputError, match="lag must be an integer, got 1.5"):
             sample_autocov(x, 1.5)
+        with pytest.raises(InvalidInputError, match="lag must be >= 1, got 0"):
+            sample_autocov(x, 0)
         assert np.array_equal(sample_autocov(x, 2.0), sample_autocov(x, 2))
 
 

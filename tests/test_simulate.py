@@ -342,6 +342,23 @@ class TestTables:
         assert lines[0] == "n,amuse"
         assert lines[1].startswith("200,")
 
+    def test_dimension_table_csv(self):
+        s = make_setting("H1")
+        t = dimension_table(s, [200, 300], ["amuse", "sobi6"], reps=4, seed=4)
+        lines = t.to_csv().splitlines()
+        assert lines[0] == "n,method,d_hat,frequency"
+        rows = [line.split(",") for line in lines[1:]]
+        # One row per (n, method, d), in that order, d = 0, ..., p.
+        assert [r[:3] for r in rows] == [
+            [str(n), m, str(d)] for n in (200, 300) for m in ("amuse", "sobi6")
+            for d in range(s.p + 1)]
+        for r, f in zip(rows, t.freq.ravel()):
+            assert r[3] == f"{f:.6f}"
+        # Every (n, method) cell is a distribution over d.
+        for first in range(0, len(rows), s.p + 1):
+            cell = [float(r[3]) for r in rows[first:first + s.p + 1]]
+            assert sum(cell) == pytest.approx(1.0)
+
     def test_dimension_table_one_rep_is_one_hot(self):
         s = make_setting("H1")
         t = dimension_table(s, [500], ["amuse"], reps=1, seed=5)
@@ -654,6 +671,26 @@ class TestTables:
                 d_hats[est.d_hat] += 1
             assert rej.values[0, j] == hits / reps
             assert np.array_equal(dim.freq[0, j], d_hats / reps)
+
+    def test_bootstrap_rejection_table_resamples_from_its_seed(self):
+        # With B = 9 no bootstrap p-value is below 0.1, so a table at alpha
+        # 0.05 is all zeros whatever its resampling seeds. Over alphas
+        # between the attainable p-values the table's rates give every
+        # replicate's p-value, which must be bootstrap_noise_test's from
+        # seed [seed, n, rep, 1].
+        from sosdim import bootstrap_noise_test
+
+        s = make_setting("H1")
+        n, reps, seed, b_reps, q = 150, 6, 5, 9, 3
+        p = [bootstrap_noise_test(simulate_setting(s, n, [seed, n, rep])[0],
+                                  (1, 2, 3, 4, 5, 6), q, "sobi", b_reps,
+                                  seed=[seed, n, rep, 1]).p_value
+             for rep in range(reps)]
+        for alpha in np.arange(0.15, 1.0, 0.1):
+            t = rejection_table(s, [n], ["sobi6"], q=q, alpha=alpha,
+                                reps=reps, seed=seed, test_kind="bootstrap",
+                                b_reps=b_reps)
+            assert t.values[0, 0] == np.mean(np.less(p, alpha))
 
     def test_float_q_is_the_integer_q(self):
         s = make_setting("H1")
