@@ -115,6 +115,16 @@ def build_parser() -> argparse.ArgumentParser:
 _parser = lru_cache(maxsize=None)(build_parser)
 
 
+def _note_bootstrap_floor(args):
+    """Say on stderr when a bootstrap cannot reject: with B replicates its
+    smallest p-value is 1/(B + 1), and a test rejects below --alpha."""
+    b = args.bootstrap_reps
+    if args.test_kind == "bootstrap" and 1 / (b + 1) >= args.alpha:
+        print(f"note: the smallest p-value of a bootstrap with -B {b} is "
+              f"1/{b + 1}, not below --alpha {args.alpha}, so no test can "
+              f"reject", file=sys.stderr)
+
+
 def _fit_args(args):
     """(series, lags, method, seed) of an estimate or test call. Every
     argument is checked before the CSV is read. The lags are --lags or
@@ -131,6 +141,7 @@ def _fit_args(args):
         except ValueError:
             raise InvalidInputError(f"bad lag list: {args.lags!r}") from None
     lags, seed = LagSet(lags), _seed(args)
+    _note_bootstrap_floor(args)
     x = load_csv(args.input, header=args.header)
     return x, lags, "amuse" if len(lags) == 1 else "sobi", seed
 
@@ -221,6 +232,7 @@ def cmd_simulate(args) -> int:
             n_jobs=args.threads,
         )
     elapsed = time.perf_counter() - start
+    _note_bootstrap_floor(args)
     if args.format == "json":
         _emit_json(table.to_dict(), args.output)
     else:

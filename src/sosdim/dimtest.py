@@ -90,57 +90,44 @@ def _m_hat(h: np.ndarray, u: np.ndarray) -> np.ndarray:
 
 
 _TINY = np.finfo(float).tiny
+_erfc = np.vectorize(math.erfc, otypes=[float])
 
 
-@lru_cache(maxsize=64)
-def _chi2_terms(k: int, p: int):
-    """(row, start, e, lg, slots): every term of _chi2_sf for a k-lag
-    stack of p series, in one flat array. Term i belongs to q = row[i], and
-    the terms of q begin at start[q]. It is exp(e[i] log y - y - lg[i]),
-    with e = j + a and lg = lgamma(j + a + 1) for j = 0, ..., df // 2 - 1,
-    where a = 1/2 for odd df and 0 for even. An odd df's terms begin with a
-    slot (j = -1) for erfc(sqrt(y)), so every q has a term; slots holds the
-    index of each. The arrays are read-only, because every call with (k, p)
-    shares them."""
-    r = p - np.arange(p)
-    df = k * r * (r + 1) // 2
-    count = (df + 1) // 2
-    row = np.repeat(np.arange(p), count)
-    start = np.cumsum(count) - count
-    e = np.arange(len(row)) - (start + df % 2 / 2)[row]
-    # m = 2 (e + 1) is an integer >= 1: one lgamma call per m, not per term.
-    m = (2 * e + 2).astype(np.intp)
-    lg = np.array([math.lgamma(v / 2) for v in range(1, m.max() + 1)])[m - 1]
-    slots = np.flatnonzero(e < 0)
-    for a in (row, start, e, lg, slots):
-        a.setflags(write=False)
-    return row, start, e, lg, slots
+@lru_cache(maxsize=None)
+def _tail_terms(a: float, size: int):
+    """(e, lg): e = j - a and lg = lgamma(e + 1) for j = 1, ..., size, the
+    terms after the first of _chi2_sf at a df of parity 2a. _chi2_sf asks
+    for powers of two, so a few tables serve every df."""
+    e = np.arange(1, size + 1) - a
+    return e, np.array([math.lgamma(v + 1) for v in e.tolist()])
 
 
-def _chi2_sf(stat: np.ndarray, k: int) -> np.ndarray:
-    """Chi-square upper tail of stat[..., q] on df = k r (r + 1) / 2 degrees
-    of freedom, r = p - q, for every q of a k-lag stack of p series; stat
-    is (..., p), with any leading batch axes.
+def _chi2_sf(stat: np.ndarray, df: np.ndarray) -> np.ndarray:
+    """Chi-square upper tail of stat[..., q] on df[q] degrees of freedom;
+    stat is (..., p), with any leading batch axes.
 
     df is an integer, so the tail Q(df/2, y), y = stat/2, is a finite sum:
     of y^j e^-y / j! over j < df/2 for even df, and erfc(sqrt(y)) plus the
     sum of y^(j+1/2) e^-y / Gamma(j + 3/2) over j < (df - 1)/2 for odd df.
-    Every term is exponentiated from log space on its own. Factoring out
-    e^-y would underflow for y > 745, and a recurrence from the last term
-    would start from 0 when y << df/2.
+    Every term after the first is exponentiated from log space on its own.
+    Factoring out e^-y would underflow for y > 745, and a recurrence from the
+    last term would start from 0 when y << df/2.
     """
-    row, start, e, lg, slots = _chi2_terms(k, stat.shape[-1])
     y = stat / 2.0
-    # At y = 0 the term j = 0 would be exp(0 * -inf). At the smallest normal
-    # double every other term is below the rounding of 1, as at y = 0.
-    terms = np.exp(e * np.log(np.maximum(y, _TINY)).take(row, axis=-1) - lg
-                   - y.take(row, axis=-1))
-    if len(slots):
-        odd = y.take(row[slots], axis=-1)
-        erfc = np.array([math.erfc(math.sqrt(v)) for v in odd.ravel().tolist()])
-        terms.T[slots] = erfc.reshape(odd.shape).T
+    # log(0) would warn. At the smallest normal double every term after the
+    # first is below the rounding of 1, as at y = 0.
+    log_y = np.log(np.maximum(y, _TINY))
+    out = np.exp(-y)
+    odd = df % 2 == 1
+    out[..., odd] = _erfc(np.sqrt(y[..., odd]))
+    size = 1 << (int(df.max()) // 2).bit_length()
+    for q, n in enumerate(df.tolist()):
+        count = (n + 1) // 2 - 1
+        e, lg = _tail_terms(n % 2 / 2, size)
+        out[..., q] += np.exp(e[:count] * log_y[..., q, None] - lg[:count]
+                              - y[..., q, None]).sum(axis=-1)
     # Rounding can carry a sum of terms near 1 past it by a few ulps.
-    return np.minimum(np.add.reduceat(terms, start, axis=-1), 1.0)
+    return np.minimum(out, 1.0)
 
 
 def _chi2_tests(h: np.ndarray, T: int):
@@ -155,8 +142,8 @@ def _chi2_tests(h: np.ndarray, T: int):
     m_hat = _m_hat(h, u)
     r = p - np.arange(p)
     stat = T * k * r * r * m_hat
-    df = np.broadcast_to(k * r * (r + 1) // 2, stat.shape)
-    return u, m_hat, stat, df, _chi2_sf(stat, k)
+    df = k * r * (r + 1) // 2
+    return u, m_hat, stat, np.broadcast_to(df, stat.shape), _chi2_sf(stat, df)
 
 
 def _result(tests, q: int, p_value, lags: LagSet, method: str) -> TestResult:

@@ -257,15 +257,18 @@ def _draw(setting: SimSetting, n: int, seeds):
     process j from child SeedSequence(seeds[i], spawn_key=(j,)), which is
     SeedSequence(seeds[i]).spawn(p + 1)[j], and the mixing from child p.
     One _generate call draws each process for every replicate, and one
-    product mixes them all; under identity mixing x is z itself."""
-    children = [[np.random.SeedSequence(seed, spawn_key=(j,)) for seed in seeds]
-                for j in range(setting.p + 1)]
-    z = np.stack([_generate(spec, n, seqs)
-                  for spec, seqs in zip(setting.processes, children)], axis=-1)
-    omega = np.array([_mixing(setting.mixing, setting.p, c) for c in children[-1]])
+    product mixes them all; under identity mixing x is z itself, and no
+    mixing child is built."""
+    p = setting.p
+    z = np.stack([_generate(spec, n, [np.random.SeedSequence(seed, spawn_key=(j,))
+                                      for seed in seeds])
+                  for j, spec in enumerate(setting.processes)], axis=-1)
     _check_finite(z)
     if setting.mixing == "identity":
-        return z, omega, z
+        return z, np.tile(np.eye(p), (len(seeds), 1, 1)), z
+    omega = np.array([_mixing(setting.mixing, p,
+                              np.random.SeedSequence(seed, spawn_key=(p,)))
+                      for seed in seeds])
     x = z @ omega.swapaxes(-1, -2)
     _check_finite(x)
     return x, omega, z

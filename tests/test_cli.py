@@ -368,6 +368,27 @@ class TestSimulate:
         assert code == EXIT_INPUT
 
 
+@pytest.mark.parametrize("b_reps, noted", [("19", True), ("20", False)])
+@pytest.mark.parametrize("command", ["estimate", "test", "simulate"])
+def test_note_when_a_bootstrap_cannot_reject(noise_csv, capsys, command,
+                                             b_reps, noted):
+    # The smallest bootstrap p-value is 1/(B + 1): 1/20 = 0.05 at B = 19,
+    # which is not below alpha = 0.05, and 1/21 at B = 20, which is.
+    argv = {
+        "estimate": ["estimate", "--input", noise_csv],
+        "test": ["test", "--input", noise_csv, "--q", "1"],
+        "simulate": ["simulate", "--setting", "H1", "--q", "3", "--n", "200",
+                     "--reps", "2", "--methods", "amuse", "--threads", "1"],
+    }[command]
+    code, out, err = run([*argv, "--test-kind", "bootstrap", "-B", b_reps,
+                          "--alpha", "0.05", "--seed", "1"], capsys)
+    assert code == EXIT_OK and out
+    notes = [line for line in err.splitlines() if line.startswith("note:")]
+    assert notes == ["note: the smallest p-value of a bootstrap with -B 19 is "
+                     "1/20, not below --alpha 0.05, so no test can reject"
+                     ] * noted
+
+
 class TestEntryPoint:
     def test_one_parser_per_process(self, noise_csv, capsys):
         import sosdim.cli

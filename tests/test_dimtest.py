@@ -143,7 +143,7 @@ class TestChi2Tail:
             for k in range(1, 13):
                 df = k * r * (r + 1) // 2
                 stat = stat_of(df)
-                got = _chi2_sf(stat, k)
+                got = _chi2_sf(stat, df)
                 want = chdtrc(df, stat)
                 assert got.shape == (p,)
                 assert not np.isnan(got).any()
@@ -154,19 +154,34 @@ class TestChi2Tail:
                 big = want > 1e-300
                 np.testing.assert_allclose(got[big], want[big], rtol=1e-10, atol=0)
 
+    @pytest.mark.parametrize("stat_of", STATS.values(), ids=STATS.keys())
+    def test_matches_scipy_at_large_p(self, stat_of):
+        # Every q of p up to 100 runs its own sum of up to df/2 terms, whose
+        # exponents cancel to about df * eps (1.2e-11 at p = 100, k = 12).
+        for p, k in itertools.product((30, 50, 100), (1, 6, 12)):
+            r = p - np.arange(p)
+            df = k * r * (r + 1) // 2
+            stat = stat_of(df)
+            got = _chi2_sf(stat, df)
+            want = chdtrc(df, stat)
+            assert np.all(got[stat == 0] == 1.0)
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-10)
+            big = want > 1e-300
+            np.testing.assert_allclose(got[big], want[big], rtol=1e-10, atol=0)
+
     @pytest.mark.parametrize("k", [1, 2, 6])
     def test_batch_rows_are_single_calls(self, k):
         # A (..., p) batch of statistics gives each row the numbers of its
-        # own call; k = 1 and 2 have odd df, whose erfc slots are batched.
+        # own call; k = 1 and 2 have odd df, whose erfc terms are batched.
         rng = np.random.default_rng(k)
-        for p in (1, 5, 20):
+        for p in (1, 5, 20, 50):
             r = p - np.arange(p)
             df = k * r * (r + 1) // 2
             stat = df * rng.uniform(0.0, 3.0, size=(3, 4, p))
-            got = _chi2_sf(stat, k)
+            got = _chi2_sf(stat, df)
             assert got.shape == stat.shape
             for i, j in itertools.product(range(3), range(4)):
-                assert np.array_equal(got[i, j], _chi2_sf(stat[i, j], k))
+                assert np.array_equal(got[i, j], _chi2_sf(stat[i, j], df))
 
     def test_batched_tests_are_single_tests(self):
         # _chi2_tests over a batch of stacks: every array of every stack,
