@@ -19,7 +19,6 @@ from .dimtest import (
     DimensionEstimate,
     TestResult,
     all_q_tests,
-    bootstrap_noise_test,
     dimension_report,
     estimate_dimension,
     estimate_dimension_from_fit,
@@ -49,7 +48,7 @@ from .series import (
     symmetrize,
 )
 
-__version__ = "0.2.0"
+__version__ = "0.3.0"
 
 # The Monte Carlo harness is imported on first use (PEP 562): sosdim.simulate
 # loads scipy.signal, which estimation and testing do not need.

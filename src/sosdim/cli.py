@@ -21,7 +21,6 @@ from .dimtest import (
     STRATEGIES,
     _ENTRY_FIELDS,
     _check_test_args,
-    bootstrap_noise_test,
     dimension_report,
     estimate_dimension,
     noise_test,
@@ -188,10 +187,7 @@ def cmd_estimate(args) -> int:
 
 def cmd_test(args) -> int:
     x, lags, method, seed = _fit_args(args)
-    if args.test_kind == "asymptotic":
-        ts = noise_test(x, lags, args.q, method)
-    else:
-        ts = bootstrap_noise_test(x, lags, args.q, method, args.bootstrap_reps, seed)
+    ts = noise_test(x, lags, args.q, method, args.test_kind, args.bootstrap_reps, seed)
     report = test_report(ts)
     return _emit_report(args, report, [report], [
         f"H0(q={ts.q}): stat={ts.scaled_stat:.4f} df={ts.df} "
@@ -228,7 +224,7 @@ def cmd_simulate(args) -> int:
         table = dimension_table(
             setting, n_list, methods,
             alpha=args.alpha, strategy=args.strategy, reps=args.reps, seed=seed,
-            estimator_kind=args.test_kind, b_reps=args.bootstrap_reps,
+            test_kind=args.test_kind, b_reps=args.bootstrap_reps,
             n_jobs=args.threads,
         )
     elapsed = time.perf_counter() - start

@@ -245,7 +245,24 @@ def test_statistic(fit: UnmixingResult, q: int, T: int) -> TestResult:
     return all_q_tests(fit, T)[q]
 
 
-def _noise_test(x, lags, q, method, test_kind, b_reps=0, seed=None) -> TestResult:
+def noise_test(
+    x: MultiSeries,
+    lags,
+    q: int,
+    method: str = "sobi",
+    test_kind: str = "asymptotic",
+    b_reps: int = 200,
+    seed=0,
+) -> TestResult:
+    """Test of the null "the p - q trailing sources are noise".
+
+    asymptotic: the chi-square limit of the scaled statistic.
+    bootstrap: the trailing p - q sources on the energy basis are resampled
+    jointly over time with replacement, and the statistic is recomputed per
+    replicate; b_reps replicates seeded by seed. The p-value uses the
+    (1 + count) / (B + 1) convention. seed=None draws fresh entropy, as
+    numpy does.
+    """
     _check_test_args(test_kind, b_reps, seed)
     lags, w, h = _whitened(x, lags, method)
     q = _check_q(q, x.p)
@@ -253,29 +270,6 @@ def _noise_test(x, lags, q, method, test_kind, b_reps=0, seed=None) -> TestResul
     p_value = _p_values(x.values, lags, w, tests, test_kind, b_reps,
                         lambda _: seed)
     return _result(tests, q, p_value(q), lags, method)
-
-
-def noise_test(x: MultiSeries, lags, q: int, method: str = "sobi") -> TestResult:
-    """Asymptotic chi-square test of the null "p - q trailing sources are noise"."""
-    return _noise_test(x, lags, q, method, "asymptotic")
-
-
-def bootstrap_noise_test(
-    x: MultiSeries,
-    lags,
-    q: int,
-    method: str = "sobi",
-    b_reps: int = 200,
-    seed=0,
-) -> TestResult:
-    """Nonparametric bootstrap test: the trailing p - q sources on the
-    energy basis are resampled jointly over time with replacement, and the
-    statistic is recomputed per replicate.
-
-    p-value uses the (1 + count) / (B + 1) convention. seed=None draws
-    fresh entropy, as numpy does.
-    """
-    return _noise_test(x, lags, q, method, "bootstrap", b_reps, seed)
 
 
 def _check_test_args(test_kind: str, b_reps: int, seed, alpha: float = 0.05,

@@ -32,23 +32,20 @@ class JointDiagResult:
 
 
 def _fix_column_signs(u: np.ndarray) -> np.ndarray:
-    """Flip each column so its largest-magnitude entry is positive, in each
-    matrix of an (n, m, p) stack."""
-    rows = np.arange(len(u))[:, None]
-    peak = u[rows, np.abs(u).argmax(axis=1), np.arange(u.shape[2])]
-    return np.where(peak[:, None, :] < 0, -u, u)
+    """Flip each column so its largest-magnitude entry is positive, in a
+    matrix or in each matrix of a stack."""
+    peak = np.take_along_axis(u, np.abs(u).argmax(axis=-2)[..., None, :], axis=-2)
+    return np.where(peak < 0, -u, u)
 
 
 def _ordered_eigh(h: np.ndarray):
     """Eigenvalues and sign-fixed eigenvectors of a symmetric matrix, or of
     each matrix of a stack, ordered by decreasing squared eigenvalue (ties:
     larger eigenvalue first)."""
-    p = h.shape[-1]
-    w, v = np.linalg.eigh(h.reshape(-1, p, p))
+    w, v = np.linalg.eigh(h)
     order = np.lexsort((-w, -w**2), axis=-1)
-    rows = np.arange(len(w))[:, None]
-    u = _fix_column_signs(v[rows[:, :, None], np.arange(p)[:, None], order[:, None, :]])
-    return w[rows, order].reshape(h.shape[:-1]), u.reshape(h.shape)
+    u = _fix_column_signs(np.take_along_axis(v, order[..., None, :], axis=-1))
+    return np.take_along_axis(w, order, axis=-1), u
 
 
 def _as_stack(h) -> np.ndarray:
@@ -112,7 +109,7 @@ def joint_diagonalize(h, tol: float = DEFAULT_TOL,
         converged = max_angle < tol
         if converged:
             break
-    u = _fix_column_signs(u[None])[0]
+    u = _fix_column_signs(u)
     # Recompute from the pristine inputs so the profiles are exact.
     rotated = np.einsum("mi,kmn,nj->kij", u, original, u)
     profiles = np.einsum("kii->ki", rotated).copy()

@@ -37,11 +37,11 @@ own, so no table depends on the chunk size or the worker count.
 zip(*tests) splits a method's batched arrays into each replicate's own,
 and every entry is computed from one replicate's draw, whitener and
 tests, as the library computes one series': a rejection entry reads
-dimtest._p_values(...)(q), as noise_test and bootstrap_noise_test do,
-and a dimension entry runs its strategy through dimtest._estimate, as
-estimate_dimension does. The bootstrap evaluates only the q its table
-needs and seeds its resampling from [master_seed, n, rep, 1] (rejection)
-or [master_seed, n, rep, 2] (dimension), as bootstrap_noise_test and
+dimtest._p_values(...)(q), as noise_test does, and a dimension entry
+runs its strategy through dimtest._estimate, as estimate_dimension does.
+The bootstrap evaluates only the q its table needs and seeds its
+resampling from [master_seed, n, rep, 1] (rejection) or
+[master_seed, n, rep, 2] (dimension), as noise_test and
 estimate_dimension do given those seeds.
 """
 
@@ -374,10 +374,10 @@ def _cells(setting, n_list, methods, reps, seed, entry, n_jobs):
     replicates over its workers, so that every worker has a task. The
     table runs on min(n_jobs, replicates) workers, this process among them:
     a pool of the others takes the tasks from the back, and this process
-    runs them from the front until it meets one the pool has started. The
-    results are read in task order, so they, and the first error raised,
-    are those of the tasks run one after another. Every argument is checked
-    before any replicate runs.
+    runs every task the pool has not started and reads the others' results,
+    in task order. So the results, and the first error raised, are those of
+    the tasks run one after another. Every argument is checked before any
+    replicate runs.
     """
     reps, n_jobs = _as_int(reps, "reps"), _as_int(n_jobs, "n_jobs")
     if reps < 1:
@@ -408,13 +408,9 @@ def _cells(setting, n_list, methods, reps, seed, entry, n_jobs):
     else:
         with ProcessPoolExecutor(workers - 1) as pool:
             futures = [pool.submit(_chunk, task) for task in reversed(tasks)][::-1]
-            out = []
             try:
-                for task, future in zip(tasks, futures):
-                    if not future.cancel():
-                        break
-                    out.append(_chunk(task))
-                out += [future.result() for future in futures[len(out):]]
+                out = [_chunk(task) if future.cancel() else future.result()
+                       for task, future in zip(tasks, futures)]
             except BaseException:
                 for future in futures:
                     future.cancel()
@@ -453,16 +449,16 @@ def dimension_table(
     strategy: str = "divide_and_conquer",
     reps: int = 100,
     seed: int = 0,
-    estimator_kind: str = "asymptotic",
+    test_kind: str = "asymptotic",
     b_reps: int = 200,
     n_jobs: int = 1,
 ) -> DimensionTable:
     """Empirical distribution of the estimated dimension per (n, method)."""
-    _check_test_args(estimator_kind, b_reps, seed, alpha, strategy, table=True)
+    _check_test_args(test_kind, b_reps, seed, alpha, strategy, table=True)
     n_list, methods, out = _cells(
         setting, n_list, methods, reps, seed,
         partial(_dimension_entry, alpha=alpha, strategy=strategy,
-                test_kind=estimator_kind, b_reps=b_reps), n_jobs)
+                test_kind=test_kind, b_reps=b_reps), n_jobs)
     p = setting.p
     hits = out[..., None] == np.arange(p + 1)
     freq = hits.sum(axis=1) / reps

@@ -10,7 +10,6 @@ from sosdim import (
     LagSet,
     MultiSeries,
     all_q_tests,
-    bootstrap_noise_test,
     energy_unmix,
     estimate_dimension,
     estimate_dimension_from_fit,
@@ -237,7 +236,7 @@ class TestNoiseTest:
         with pytest.raises(InvalidInputError, match="q must be an integer"):
             noise_test(x, (1,), q, "amuse")
         with pytest.raises(InvalidInputError, match="q must be an integer"):
-            bootstrap_noise_test(x, (1,), q, "amuse", b_reps=3)
+            noise_test(x, (1,), q, "amuse", test_kind="bootstrap", b_reps=3)
         with pytest.raises(InvalidInputError, match="q must be an integer"):
             statistic_of(fit, q, x.T)
         # A float of integral value is that integer.
@@ -261,28 +260,28 @@ class TestNoiseTest:
         monkeypatch.setattr(sosdim.bss, "joint_diagonalize", refuse)
         x = white_series(600, 4, 25)
         noise_test(x, (1, 2, 3), 1, "sobi")
-        bootstrap_noise_test(x, (1, 2, 3), 1, "sobi", b_reps=5, seed=0)
+        noise_test(x, (1, 2, 3), 1, "sobi", test_kind="bootstrap", b_reps=5, seed=0)
         estimate_dimension(x, (1, 2, 3))
 
 
 class TestBootstrap:
     def test_deterministic_given_seed(self):
         x = white_series(400, 3, 12)
-        a = bootstrap_noise_test(x, (1, 2), 1, "sobi", b_reps=50, seed=9)
-        b = bootstrap_noise_test(x, (1, 2), 1, "sobi", b_reps=50, seed=9)
+        a = noise_test(x, (1, 2), 1, "sobi", test_kind="bootstrap", b_reps=50, seed=9)
+        b = noise_test(x, (1, 2), 1, "sobi", test_kind="bootstrap", b_reps=50, seed=9)
         assert a.p_value == b.p_value
-        c = bootstrap_noise_test(x, (1, 2), 1, "sobi", b_reps=50, seed=10)
+        c = noise_test(x, (1, 2), 1, "sobi", test_kind="bootstrap", b_reps=50, seed=10)
         assert a.p_value != c.p_value or a.m_hat == c.m_hat
         # numpy integers are integer seeds, alone and in a sequence.
         for same, seed in [(9, np.int64(9)), ([9, 2], np.array([9, 2]))]:
-            assert (bootstrap_noise_test(x, (1, 2), 1, "sobi", b_reps=50,
-                                         seed=seed).p_value
-                    == bootstrap_noise_test(x, (1, 2), 1, "sobi", b_reps=50,
-                                            seed=same).p_value)
+            assert (noise_test(x, (1, 2), 1, "sobi", test_kind="bootstrap",
+                               b_reps=50, seed=seed).p_value
+                    == noise_test(x, (1, 2), 1, "sobi", test_kind="bootstrap",
+                                  b_reps=50, seed=same).p_value)
 
     def test_boundary_q(self):
         x = white_series(400, 2, 13)
-        ts = bootstrap_noise_test(x, (1,), 1, "sobi", b_reps=30, seed=0)
+        ts = noise_test(x, (1,), 1, "sobi", test_kind="bootstrap", b_reps=30, seed=0)
         assert 0.0 < ts.p_value <= 1.0
         assert ts.p_value * 31 == pytest.approx(round(ts.p_value * 31))
 
@@ -290,7 +289,7 @@ class TestBootstrap:
         x = white_series(400, 2, 14)
         for b_reps in (0, 2.5, "7"):
             with pytest.raises(InvalidInputError, match="replicate count"):
-                bootstrap_noise_test(x, (1,), 1, "sobi", b_reps=b_reps)
+                noise_test(x, (1,), 1, "sobi", test_kind="bootstrap", b_reps=b_reps)
             with pytest.raises(InvalidInputError, match="replicate count"):
                 estimate_dimension(x, (1,), test_kind="bootstrap", b_reps=b_reps)
 
@@ -303,7 +302,7 @@ class TestBootstrap:
         x = white_series(300, 3, 14)
         with pytest.raises(InvalidInputError, match="seed"):
             if call == "test":
-                bootstrap_noise_test(x, (1,), 1, "amuse", seed=seed)
+                noise_test(x, (1,), 1, "amuse", test_kind="bootstrap", seed=seed)
             else:
                 estimate_dimension(x, (1,), method="amuse",
                                    test_kind="bootstrap", seed=seed)
@@ -322,7 +321,7 @@ class TestBootstrap:
         monkeypatch.setattr(np.random, "SeedSequence", Recording)
         x = white_series(300, 3, 15)
         if call == "test":
-            bootstrap_noise_test(x, (1,), 1, "amuse", b_reps=3, seed=None)
+            noise_test(x, (1,), 1, "amuse", test_kind="bootstrap", b_reps=3, seed=None)
         else:
             estimate_dimension(x, (1,), method="amuse", test_kind="bootstrap",
                                b_reps=3, seed=None)
@@ -351,7 +350,8 @@ class TestBootstrap:
                 return original(xt, lags)
 
             monkeypatch.setattr(module, "_whiten", counted)
-        bootstrap_noise_test(x, (1, 2), 1, "sobi", b_reps=b_reps, seed=4)
+        noise_test(x, (1, 2), 1, "sobi", test_kind="bootstrap", b_reps=b_reps,
+                   seed=4)
         chunks = [min(3, b_reps - first) for first in range(0, b_reps, 3)]
         assert calls == ([("sosdim.series", ())]
                          + [("sosdim.dimtest", (b,)) for b in chunks])
@@ -364,8 +364,8 @@ class TestBootstrap:
         for chunk in (1, 3, 25):
             monkeypatch.setattr(sosdim.dimtest, "_CHUNK_BYTES",
                                 chunk * 8 * x.p * x.T)
-            got[chunk] = [bootstrap_noise_test(x, range(1, 7), q, "sobi",
-                                               b_reps=25, seed=q).p_value
+            got[chunk] = [noise_test(x, range(1, 7), q, "sobi", test_kind="bootstrap",
+                                     b_reps=25, seed=q).p_value
                           for q in range(x.p)]
         assert got[1] == got[3] == got[25]
 
@@ -385,7 +385,8 @@ class TestBootstrap:
     def test_pinned_counts(self, case):
         name, n, draw, lags, method, q, b_reps, seed, count = case
         x = simulate_setting(make_setting(name), n, draw)[0]
-        ts = bootstrap_noise_test(x, lags, q, method, b_reps=b_reps, seed=seed)
+        ts = noise_test(x, lags, q, method, test_kind="bootstrap", b_reps=b_reps,
+                        seed=seed)
         assert ts.p_value == (1 + count) / (b_reps + 1)
 
     def test_pinned_estimate(self):
@@ -395,6 +396,26 @@ class TestBootstrap:
         assert est.d_hat == 5
         assert [(t.q, t.p_value) for t in est.trace] == [
             (5, 9 / 31), (2, 1 / 31), (4, 1 / 31)]
+
+    def test_estimate_seeds_each_q_as_the_single_test(self):
+        # The bootstrap of q in an estimate is the single test seeded by
+        # [word, q]: word is an integer seed as it is, and any other seed
+        # folded into one word by SeedSequence. B = 39 lets alpha 0.05 reject.
+        x = simulate_setting(make_setting("D1"), 1000, 3)[0]
+        q5 = []
+        for seed in (7, np.int64(7), [3, 4]):
+            word = seed
+            if not isinstance(seed, (int, np.integer)):
+                word = int(np.random.SeedSequence(seed).generate_state(1)[0])
+            est = estimate_dimension(x, range(1, 7), strategy="forward",
+                                     test_kind="bootstrap", b_reps=39, seed=seed)
+            assert [t.q for t in est.trace] == list(range(6))
+            for t in est.trace:
+                assert t.p_value == noise_test(x, range(1, 7), t.q, "sobi",
+                                               "bootstrap", 39, [word, t.q]).p_value
+            q5.append(est.trace[5].p_value)
+        # The seed is read: q = 5 differs between the two words.
+        assert q5 == [0.375, 0.375, 0.35]
 
     def test_chunk_size_bounds_memory(self):
         from sosdim.dimtest import _CHUNK_BYTES, _chunk_reps
@@ -415,8 +436,9 @@ class TestBootstrap:
         for rep in range(reps):
             x, _, _ = simulate_setting(setting, 500, [77, rep])
             pa = noise_test(x, (1,), 3, "amuse").p_value
-            pb = bootstrap_noise_test(
-                x, (1,), 3, "amuse", b_reps=200, seed=[77, rep]
+            pb = noise_test(
+                x, (1,), 3, "amuse", test_kind="bootstrap", b_reps=200,
+                seed=[77, rep]
             ).p_value
             hits_a += pa < 0.05
             hits_b += pb < 0.05

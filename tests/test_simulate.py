@@ -389,7 +389,7 @@ class TestTables:
           for name, alpha in [("str", "a"), ("none", None)]),
         pytest.param("rejection", {"test_kind": "bogus"}, "test kind",
                      id="rejection-kind"),
-        pytest.param("dimension", {"estimator_kind": "bogus"}, "test kind",
+        pytest.param("dimension", {"test_kind": "bogus"}, "test kind",
                      id="dimension-kind"),
         pytest.param("dimension", {"strategy": "bogus"}, "strategy",
                      id="dimension-strategy"),
@@ -415,7 +415,7 @@ class TestTables:
                      id="dimension-methods-empty"),
         pytest.param("rejection", {"test_kind": "bootstrap", "b_reps": 0},
                      "replicate", id="rejection-b-reps"),
-        pytest.param("dimension", {"estimator_kind": "bootstrap", "b_reps": 0},
+        pytest.param("dimension", {"test_kind": "bootstrap", "b_reps": 0},
                      "replicate", id="dimension-b-reps"),
         pytest.param("rejection", {"seed": -1}, "seed", id="rejection-seed"),
         pytest.param("dimension", {"seed": -1}, "seed", id="dimension-seed"),
@@ -571,13 +571,13 @@ class TestTables:
         n_list = [150, 300]
         rej = rejection_table(s, n_list, methods, q=3, test_kind=test_kind,
                               **common)
-        dim = dimension_table(s, n_list, methods, estimator_kind=test_kind,
+        dim = dimension_table(s, n_list, methods, test_kind=test_kind,
                               **common)
         for j, method in enumerate(methods):
             one_rej = rejection_table(s, n_list, [method], q=3,
                                       test_kind=test_kind, **common)
             one_dim = dimension_table(s, n_list, [method],
-                                      estimator_kind=test_kind, **common)
+                                      test_kind=test_kind, **common)
             assert np.array_equal(rej.values[:, j], one_rej.values[:, 0])
             assert np.array_equal(dim.freq[:, j], one_dim.freq[:, 0])
 
@@ -599,7 +599,7 @@ class TestTables:
         args = (s, [150, 200], ("amuse", "sobi6"))
         common = {"reps": 2, "seed": 3, "b_reps": 3, "n_jobs": 1}
         rejection_table(*args, q=3, test_kind="bootstrap", **common)
-        dimension_table(*args, estimator_kind="bootstrap", **common)
+        dimension_table(*args, test_kind="bootstrap", **common)
         # Two tables of 2 x 2 replicates, each whitened once over lags 1..6.
         assert calls == [tuple(range(1, 7))] * 8
 
@@ -631,7 +631,7 @@ class TestTables:
             rej = rejection_table(s, n_list, ("amuse", "sobi6"), q=3,
                                   test_kind=test_kind, **common)
             dim = dimension_table(s, n_list, ("sobi12", "amuse"),
-                                  estimator_kind=test_kind, **common)
+                                  test_kind=test_kind, **common)
             assert sizes == [chunk] * (2 * len(n_list) * reps // chunk)
             got[chunk] = rej.values, dim.freq
         assert np.array_equal(got[1][0], got[reps][0])
@@ -642,7 +642,7 @@ class TestTables:
         # The documented seeds: replicate (n, rep) draws from [seed, n, rep]
         # and its bootstrap resamples from [seed, n, rep, 1] (rejection) or
         # [seed, n, rep, 2] (dimension).
-        from sosdim import bootstrap_noise_test, estimate_dimension, noise_test
+        from sosdim import estimate_dimension, noise_test
         from sosdim.bss import LAG_PRESETS
 
         s = make_setting("H1")
@@ -651,7 +651,7 @@ class TestTables:
         rej = rejection_table(s, [n], methods, q=q, alpha=alpha, reps=reps,
                               seed=seed, test_kind=test_kind, b_reps=b_reps)
         dim = dimension_table(s, [n], methods, alpha=alpha, reps=reps,
-                              seed=seed, estimator_kind=test_kind,
+                              seed=seed, test_kind=test_kind,
                               b_reps=b_reps)
         for j, method in enumerate(methods):
             lags = LAG_PRESETS[method]
@@ -659,11 +659,8 @@ class TestTables:
             hits, d_hats = 0, np.zeros(s.p + 1)
             for rep in range(reps):
                 x = simulate_setting(s, n, [seed, n, rep])[0]
-                if test_kind == "asymptotic":
-                    ts = noise_test(x, lags, q, kind)
-                else:
-                    ts = bootstrap_noise_test(x, lags, q, kind, b_reps,
-                                              seed=[seed, n, rep, 1])
+                ts = noise_test(x, lags, q, kind, test_kind, b_reps,
+                                seed=[seed, n, rep, 1])
                 hits += ts.p_value < alpha
                 est = estimate_dimension(x, lags, alpha=alpha, method=kind,
                                          test_kind=test_kind, b_reps=b_reps,
@@ -676,15 +673,15 @@ class TestTables:
         # With B = 9 no bootstrap p-value is below 0.1, so a table at alpha
         # 0.05 is all zeros whatever its resampling seeds. Over alphas
         # between the attainable p-values the table's rates give every
-        # replicate's p-value, which must be bootstrap_noise_test's from
+        # replicate's p-value, which must be noise_test's bootstrap from
         # seed [seed, n, rep, 1].
-        from sosdim import bootstrap_noise_test
+        from sosdim import noise_test
 
         s = make_setting("H1")
         n, reps, seed, b_reps, q = 150, 6, 5, 9, 3
-        p = [bootstrap_noise_test(simulate_setting(s, n, [seed, n, rep])[0],
-                                  (1, 2, 3, 4, 5, 6), q, "sobi", b_reps,
-                                  seed=[seed, n, rep, 1]).p_value
+        p = [noise_test(simulate_setting(s, n, [seed, n, rep])[0],
+                        (1, 2, 3, 4, 5, 6), q, "sobi", test_kind="bootstrap",
+                        b_reps=b_reps, seed=[seed, n, rep, 1]).p_value
              for rep in range(reps)]
         for alpha in np.arange(0.15, 1.0, 0.1):
             t = rejection_table(s, [n], ["sobi6"], q=q, alpha=alpha,
