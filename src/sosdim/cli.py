@@ -27,7 +27,7 @@ from .dimtest import (
     test_report,
 )
 from .errors import InvalidInputError, NearSingularCovarianceError, SosdimError
-from .series import LagSet, load_csv
+from .series import LagSet, _available_cpus, load_csv
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -103,8 +103,9 @@ def build_parser() -> argparse.ArgumentParser:
                      help="comma-separated estimator presets")
     _add_test_flags(sim)
     sim.add_argument("--strategy", choices=STRATEGIES, default="divide_and_conquer")
-    sim.add_argument("--threads", type=int, default=os.cpu_count() or 1,
-                     help="worker processes, this one included; results do not "
+    sim.add_argument("--threads", type=int, default=_available_cpus(),
+                     help="worker processes, this one included (default: the "
+                          "CPUs this process may run on); results do not "
                           "depend on it")
     _add_common(sim)
     return parser

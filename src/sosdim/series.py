@@ -12,6 +12,7 @@ series is one call; a single series passes the view x.values.T.
 from __future__ import annotations
 
 import csv
+import io
 import os
 import warnings
 from dataclasses import dataclass
@@ -28,6 +29,15 @@ from .errors import (
 #: Relative eigenvalue floor below which a covariance counts as singular.
 EIG_FLOOR_RATIO = 1e-12
 
+#: Files of at least this many bytes are parsed as two halves at once
+#: (_parse_bulk). Timed on a 2-core KVM guest in a warm process holding
+#: 100 MB, 10 alternating rounds a run, the split beat one pass in 1 of 10
+#: rounds on a 3.9 MB file (medians 88 vs 70 ms), in 0, 1 and 8 of 10 on
+#: 7.9 MB, in 1, 10 and 9 of 10 on 9.9 MB, and in 10 of 10 in each of three
+#: runs on 19.7 MB (275 vs 468 ms in the last). Below about 8 MB the forked
+#: pool costs about what the half parse saves.
+_SPLIT_BYTES = 8 << 20
+
 
 def _as_int(value, name: str) -> int:
     """value as an int: an integer, a numpy integer or a float of integral
@@ -36,6 +46,14 @@ def _as_int(value, name: str) -> int:
             isinstance(value, (float, np.floating)) and float(value).is_integer()):
         return int(value)
     raise InvalidInputError(f"{name} must be an integer, got {value!r}")
+
+
+def _available_cpus() -> int:
+    """The number of CPUs this process may run on: its affinity mask
+    (taskset, cpusets) where the platform has one, else the host's count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def _check_finite(v: np.ndarray) -> None:
@@ -214,6 +232,45 @@ def _parse_bulk(path, header: bool):
     """The file as numpy's C tokenizer reads it, or None where that array
     might differ from what ``_load_csv_rows`` returns.
 
+    A regular file of at least _SPLIT_BYTES, where ``fork`` exists and two or
+    more CPUs are available, is parsed as two ranges split after a newline
+    near its middle byte: this process parses the first while a forked one
+    parses the second, and the array is the two joined. Each range follows
+    ``_parse_range``'s rules, and a file whose ranges differ in width, or
+    where either range gives None, gives None. Smaller files, files with no
+    newline after the middle byte, and pipes are parsed in one range.
+    """
+    if not os.path.isfile(path):  # a pipe yields its text only once
+        return None
+    size = os.path.getsize(path)
+    mid = size
+    if size >= _SPLIT_BYTES and hasattr(os, "fork") and _available_cpus() >= 2:
+        with open(path, "rb") as fh:
+            fh.seek(size // 2)
+            fh.readline()
+            mid = fh.tell()
+    if mid >= size:
+        return _parse_range(path, header, 0)
+    # Imported here, so that importing the CLI loads neither. A forked worker
+    # starts at once with this process's modules; a spawned one would import
+    # numpy first, which costs more than the parse it takes over.
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    with ProcessPoolExecutor(1, mp_context=multiprocessing.get_context("fork")) as pool:
+        rest = pool.submit(_parse_range, path, False, mid)
+        first = _parse_range(path, header, 0, mid)
+        second = rest.result()
+    if first is None or second is None or first.shape[1] != second.shape[1]:
+        return None
+    return np.concatenate((first, second))
+
+
+def _parse_range(path, header: bool, start: int, stop=None):
+    """Bytes [start, stop) of the file (to its end if stop is None), decoded
+    as ``open(path)`` decodes them, as numpy's C tokenizer reads them, or
+    None where that array might differ from what ``_load_csv_rows`` returns.
+
     The parse stops, and the file goes to the row parser, at the first line
     that holds a quote, which can join lines into one record, or is blank
     or whitespace only, which ``loadtxt`` skips and ``csv.reader`` does
@@ -222,8 +279,6 @@ def _parse_bulk(path, header: bool):
     ``ValueError`` on ragged rows and unreadable fields, and so does text
     that does not decode.
     """
-    if not os.path.isfile(path):  # a pipe yields its text only once
-        return None
     widths = []  # the first line's field count, then None if the parse stopped
 
     def lines(fh):
@@ -236,8 +291,13 @@ def _parse_bulk(path, header: bool):
             yield line
 
     try:
-        with open(path) as fh, warnings.catch_warnings():
-            # A file of no data lines warns "input contained no data".
+        with open(path, "rb") as raw, warnings.catch_warnings():
+            raw.seek(start)
+            # A range that stops short of the end is read whole; one that runs
+            # to the end is decoded as it is read.
+            fh = io.TextIOWrapper(
+                raw if stop is None else io.BytesIO(raw.read(stop - start)))
+            # A range of no data lines warns "input contained no data".
             warnings.simplefilter("ignore", UserWarning)
             v = np.loadtxt(lines(fh), dtype=float, delimiter=",", comments=None,
                            skiprows=int(header), ndmin=2)

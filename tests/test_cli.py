@@ -353,6 +353,14 @@ class TestSimulate:
         assert out == ""
         assert f"--threads must be >= 1, got {threads}" in err
 
+    def test_threads_default_is_the_available_cpu_count(self, monkeypatch):
+        import sosdim.cli
+
+        monkeypatch.setattr(sosdim.cli, "_available_cpus", lambda: 3)
+        args = sosdim.cli.build_parser().parse_args(
+            ["simulate", "--setting", "H1", "--n", "200", "--reps", "2"])
+        assert args.threads == 3
+
     def test_rejection_needs_q(self, capsys):
         code, _, err = run([
             "simulate", "--setting", "H1", "--n", "200", "--reps", "2",
@@ -418,6 +426,8 @@ class TestEntryPoint:
             [sys.executable, "-c",
              "import sys, sosdim, sosdim.cli\n"
              "assert 'scipy.signal' not in sys.modules\n"
+             "assert 'concurrent.futures' not in sys.modules\n"
+             "assert 'multiprocessing' not in sys.modules\n"
              "assert callable(sosdim.dimension_table)\n"
              "assert callable(sosdim.simulate_setting)\n"
              "assert 'scipy.signal' in sys.modules\n"],

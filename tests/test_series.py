@@ -1,3 +1,4 @@
+import concurrent.futures
 import os
 import subprocess
 import sys
@@ -361,6 +362,8 @@ CSV_CASES = {
     "mixed_endings": "1,2\r\n3,4\n5,6\r7,8\n",
     "only_comma": "1,2\n,\n",
     "formfeed_line": "1,2\n\x0c\n3,4\n",
+    # Split after its middle byte, each half is rectangular on its own.
+    "wider_second_half": "1.5,2.5\n3.5,4.5\n5,6,7\n8,9,0\n",
 }
 
 
@@ -410,6 +413,99 @@ def test_reads_a_pipe():
     proc = subprocess.run(
         [sys.executable, "-c",
          "from sosdim import load_csv; print(load_csv('/dev/stdin').values.tolist())"],
+        input="1,2\n3,4\n5,6\n", capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]]"
+
+
+@pytest.fixture
+def split_ranges(monkeypatch):
+    """Every regular file is split, as if it were over the size threshold on
+    two CPUs; the list collects the arguments of each range sent to a pool."""
+    submitted = []
+
+    class Pool(concurrent.futures.ProcessPoolExecutor):
+        def submit(self, fn, *args):
+            submitted.append(args)
+            return super().submit(fn, *args)
+
+    monkeypatch.setattr(series_module, "_SPLIT_BYTES", 1)
+    monkeypatch.setattr(series_module, "_available_cpus", lambda: 2)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
+    return submitted
+
+
+@pytest.mark.parametrize("header", [False, True])
+@pytest.mark.parametrize("name", sorted(CSV_CASES))
+def test_split_and_row_parsers_agree(tmp_path, split_ranges, name, header):
+    test_bulk_and_row_parsers_agree(tmp_path, name, header)
+
+
+@pytest.mark.parametrize("header", [False, True])
+@pytest.mark.parametrize("newline, final", [("\n", True), ("\n", False),
+                                            ("\r\n", True), ("\r", True)])
+def test_split_well_formed_file_skips_row_parser(tmp_path, monkeypatch,
+                                                 split_ranges, header,
+                                                 newline, final):
+    test_well_formed_file_skips_row_parser(tmp_path, monkeypatch, header,
+                                           newline, final)
+    # A file with no "\n" after its middle byte is parsed in one range.
+    assert len(split_ranges) == ("\n" in newline)
+
+
+@pytest.mark.parametrize("fault", ["quote", "blank", "ragged"])
+def test_split_fault_in_second_range(tmp_path, split_ranges, fault):
+    data = np.random.default_rng(23).standard_normal((200, 5))
+    lines = [",".join(f"{v:.17g}" for v in row) for row in data]
+    row = 150
+    line = lines[row - 1]
+    lines[row - 1] = {"quote": '"' + line.replace(",", '",', 1),
+                      "blank": "",
+                      "ragged": line.rsplit(",", 1)[0]}[fault]
+    path = tmp_path / "x.csv"
+    path.write_text("\n".join(lines) + "\n")
+    got = _outcome(series_module.load_csv, path, False)
+    want = _outcome(series_module._load_csv_rows, path, False)
+    [(_, _, second_start)] = split_ranges
+    assert second_start <= len("\n".join(lines[:row - 1])) + 1  # row's start
+    if fault == "quote":
+        assert got[0] == want[0] == "ok"
+        assert np.array_equal(got[1], data) and np.array_equal(want[1], data)
+    else:
+        assert got == want and got[1] == row
+
+
+def _no_pool(*args, **kwargs):
+    raise AssertionError("a process pool was started")
+
+
+@pytest.mark.parametrize("threshold, cpus", [(None, 2), (1, 1)])
+def test_no_pool_where_a_split_cannot_win(tmp_path, monkeypatch, threshold,
+                                          cpus):
+    # A file under the threshold, or any file on one CPU, is one range.
+    if threshold is not None:
+        monkeypatch.setattr(series_module, "_SPLIT_BYTES", threshold)
+    monkeypatch.setattr(series_module, "_available_cpus", lambda: cpus)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _no_pool)
+    data = np.random.default_rng(24).standard_normal((2000, 5))
+    path = tmp_path / "x.csv"
+    np.savetxt(path, data, fmt="%.17g", delimiter=",")
+    assert np.array_equal(load_csv(path).values, data)
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/stdin"), reason="needs /dev/stdin")
+def test_no_pool_for_a_pipe():
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import concurrent.futures\n"
+         "from sosdim import load_csv, series\n"
+         "series._SPLIT_BYTES = 1\n"
+         "series._available_cpus = lambda: 2\n"
+         "def no_pool(*args, **kwargs):\n"
+         "    raise AssertionError('a process pool was started')\n"
+         "concurrent.futures.ProcessPoolExecutor = no_pool\n"
+         "print(load_csv('/dev/stdin').values.tolist())"],
         input="1,2\n3,4\n5,6\n", capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
