@@ -14,6 +14,7 @@ from __future__ import annotations
 import csv
 import io
 import os
+import sys
 import warnings
 from dataclasses import dataclass
 
@@ -232,24 +233,20 @@ def _parse_bulk(path, header: bool):
     """The file as numpy's C tokenizer reads it, or None where that array
     might differ from what ``_load_csv_rows`` returns.
 
-    A regular file of at least _SPLIT_BYTES, where ``fork`` exists and two or
-    more CPUs are available, is parsed as two ranges split after a newline
-    near its middle byte: this process parses the first while a forked one
-    parses the second, and the array is the two joined. Each range follows
-    ``_parse_range``'s rules, and a file whose ranges differ in width, or
-    where either range gives None, gives None. Smaller files, files with no
-    newline after the middle byte, and pipes are parsed in one range.
+    A regular file of at least _SPLIT_BYTES, on Linux with two or more CPUs
+    available and outside a daemonic process, is parsed as two ranges split
+    after a newline near its middle byte: this process parses the first while
+    a forked one parses the second, and the array is the two joined. Each
+    range follows ``_parse_range``'s rules, and a file whose ranges differ in
+    width, or where either range gives None, gives None. Smaller files, files
+    with no newline after the middle byte, and pipes are parsed in one range.
     """
     if not os.path.isfile(path):  # a pipe yields its text only once
         return None
     size = os.path.getsize(path)
-    mid = size
-    if size >= _SPLIT_BYTES and hasattr(os, "fork") and _available_cpus() >= 2:
-        with open(path, "rb") as fh:
-            fh.seek(size // 2)
-            fh.readline()
-            mid = fh.tell()
-    if mid >= size:
+    # fork is the start method Linux has long defaulted to; on macOS system
+    # libraries may start threads, which makes it unsafe there.
+    if size < _SPLIT_BYTES or sys.platform != "linux" or _available_cpus() < 2:
         return _parse_range(path, header, 0)
     # Imported here, so that importing the CLI loads neither. A forked worker
     # starts at once with this process's modules; a spawned one would import
@@ -257,6 +254,14 @@ def _parse_bulk(path, header: bool):
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
 
+    if multiprocessing.current_process().daemon:  # it may start no process
+        return _parse_range(path, header, 0)
+    with open(path, "rb") as fh:
+        fh.seek(size // 2)
+        fh.readline()
+        mid = fh.tell()
+    if mid >= size:
+        return _parse_range(path, header, 0)
     with ProcessPoolExecutor(1, mp_context=multiprocessing.get_context("fork")) as pool:
         rest = pool.submit(_parse_range, path, False, mid)
         first = _parse_range(path, header, 0, mid)

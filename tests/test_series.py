@@ -1,4 +1,5 @@
 import concurrent.futures
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -423,6 +424,8 @@ def test_reads_a_pipe():
 def split_ranges(monkeypatch):
     """Every regular file is split, as if it were over the size threshold on
     two CPUs; the list collects the arguments of each range sent to a pool."""
+    if sys.platform != "linux":
+        pytest.skip("files are split on Linux only")
     submitted = []
 
     class Pool(concurrent.futures.ProcessPoolExecutor):
@@ -476,17 +479,35 @@ def test_split_fault_in_second_range(tmp_path, split_ranges, fault):
         assert got == want and got[1] == row
 
 
+def _load_values(path):
+    return load_csv(path).values
+
+
+def test_split_in_a_daemonic_process(tmp_path, split_ranges):
+    # A multiprocessing.Pool worker is daemonic and may start no process, so
+    # it parses the file in one range.
+    data = np.random.default_rng(25).standard_normal((200, 5))
+    path = tmp_path / "x.csv"
+    np.savetxt(path, data, fmt="%.17g", delimiter=",")
+    with multiprocessing.get_context("fork").Pool(1) as pool:
+        [got] = pool.map(_load_values, [path])
+    assert np.array_equal(got, data)
+
+
 def _no_pool(*args, **kwargs):
     raise AssertionError("a process pool was started")
 
 
-@pytest.mark.parametrize("threshold, cpus", [(None, 2), (1, 1)])
+@pytest.mark.parametrize("threshold, cpus, platform",
+                         [(None, 2, "linux"), (1, 1, "linux"), (1, 2, "darwin")])
 def test_no_pool_where_a_split_cannot_win(tmp_path, monkeypatch, threshold,
-                                          cpus):
-    # A file under the threshold, or any file on one CPU, is one range.
+                                          cpus, platform):
+    # A file under the threshold, any file on one CPU, and any file off
+    # Linux, where fork is not the default start method, is one range.
     if threshold is not None:
         monkeypatch.setattr(series_module, "_SPLIT_BYTES", threshold)
     monkeypatch.setattr(series_module, "_available_cpus", lambda: cpus)
+    monkeypatch.setattr(sys, "platform", platform)
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _no_pool)
     data = np.random.default_rng(24).standard_normal((2000, 5))
     path = tmp_path / "x.csv"
