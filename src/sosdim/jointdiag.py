@@ -55,6 +55,8 @@ def _as_stack(h) -> np.ndarray:
         a = None
     if a is None or a.ndim != 3 or a.shape[0] == 0 or a.shape[1] != a.shape[2]:
         raise InvalidInputError("expected a nonempty set of same-size square matrices")
+    if not np.isfinite(a).all():  # NaN angles would pass for convergence
+        raise InvalidInputError("matrices must have finite entries")
     scale = np.maximum(np.abs(a).max(axis=(1, 2)), 1.0)
     asym = np.abs(a - a.transpose(0, 2, 1)).max(axis=(1, 2)) > 1e-12 * scale
     if asym.any():
@@ -78,8 +80,8 @@ def joint_diagonalize(h, tol: float = DEFAULT_TOL,
                       max_sweeps: int = DEFAULT_MAX_SWEEPS) -> JointDiagResult:
     """Jointly diagonalize a set of symmetric matrices by an orthogonal U.
 
-    h is a k x p x p stack or a list of p x p matrices, each symmetric to
-    1e-12 of its largest entry; other input raises InvalidInputError.
+    h is a k x p x p stack or a list of p x p finite matrices, each symmetric
+    to 1e-12 of its largest entry; other input raises InvalidInputError.
 
     Maximizes the summed squared diagonals of U^T H_tau U over orthogonal
     U. Non-convergence within max_sweeps is reported through the

@@ -17,6 +17,7 @@ import os
 import sys
 import warnings
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -55,6 +56,32 @@ def _available_cpus() -> int:
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
+
+
+def _run_tasks(fn, tasks, workers: int) -> list:
+    """[fn(t) for t in tasks], run on min(workers, len(tasks)) processes.
+
+    This process runs tasks[0], which it never submits, as a pool of k
+    starts up to k + 1 calls at once; then, in order, each task the pool,
+    taking them from the back, has not started, reading the others' results.
+    An error cancels every future, so the results and the first error are a
+    serial run's. A daemonic process runs every task itself. The pool forks
+    on Linux, else uses the default start method (fork is unsafe on macOS).
+    """
+    import multiprocessing  # here, so that importing the CLI loads neither
+    from concurrent.futures import ProcessPoolExecutor
+
+    workers = min(workers, len(tasks))
+    if workers < 2 or multiprocessing.current_process().daemon:
+        return [fn(t) for t in tasks]
+    context = multiprocessing.get_context("fork") if sys.platform == "linux" else None
+    pool = ProcessPoolExecutor(workers - 1, mp_context=context)
+    try:
+        futures = [pool.submit(fn, t) for t in reversed(tasks[1:])][::-1]
+        return [fn(tasks[0])] + [fn(t) if future.cancel() else future.result()
+                                 for t, future in zip(tasks[1:], futures)]
+    finally:  # after an error, no task the pool has not started runs
+        pool.shutdown(cancel_futures=True)
 
 
 def _check_finite(v: np.ndarray) -> None:
@@ -234,46 +261,35 @@ def _parse_bulk(path, header: bool):
     might differ from what ``_load_csv_rows`` returns.
 
     A regular file of at least _SPLIT_BYTES, on Linux with two or more CPUs
-    available and outside a daemonic process, is parsed as two ranges split
-    after a newline near its middle byte: this process parses the first while
-    a forked one parses the second, and the array is the two joined. Each
-    range follows ``_parse_range``'s rules, and a file whose ranges differ in
-    width, or where either range gives None, gives None. Smaller files, files
-    with no newline after the middle byte, and pipes are parsed in one range.
+    available, is parsed by _run_tasks as two ranges split after a newline
+    near its middle byte, and the array is the two joined. Each range
+    follows ``_parse_range``'s rules, and a file whose ranges differ in
+    width, or where either range gives None, gives None. Smaller files,
+    files with no newline after the middle byte, pipes, and files off Linux,
+    where a worker imports numpy first at more cost than the half parse
+    saves, are parsed in one range.
     """
     if not os.path.isfile(path):  # a pipe yields its text only once
         return None
-    size = os.path.getsize(path)
-    # fork is the start method Linux has long defaulted to; on macOS system
-    # libraries may start threads, which makes it unsafe there.
-    if size < _SPLIT_BYTES or sys.platform != "linux" or _available_cpus() < 2:
-        return _parse_range(path, header, 0)
-    # Imported here, so that importing the CLI loads neither. A forked worker
-    # starts at once with this process's modules; a spawned one would import
-    # numpy first, which costs more than the parse it takes over.
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-
-    if multiprocessing.current_process().daemon:  # it may start no process
-        return _parse_range(path, header, 0)
-    with open(path, "rb") as fh:
-        fh.seek(size // 2)
-        fh.readline()
-        mid = fh.tell()
+    size = mid = os.path.getsize(path)  # mid = size: one range
+    if size >= _SPLIT_BYTES and sys.platform == "linux" and _available_cpus() > 1:
+        with open(path, "rb") as fh:
+            fh.seek(size // 2)
+            fh.readline()
+            mid = fh.tell()
     if mid >= size:
-        return _parse_range(path, header, 0)
-    with ProcessPoolExecutor(1, mp_context=multiprocessing.get_context("fork")) as pool:
-        rest = pool.submit(_parse_range, path, False, mid)
-        first = _parse_range(path, header, 0, mid)
-        second = rest.result()
+        return _parse_range(path, header)
+    first, second = _run_tasks(partial(_parse_range, path, header),
+                               [slice(0, mid), slice(mid, None)], 2)
     if first is None or second is None or first.shape[1] != second.shape[1]:
         return None
     return np.concatenate((first, second))
 
 
-def _parse_range(path, header: bool, start: int, stop=None):
-    """Bytes [start, stop) of the file (to its end if stop is None), decoded
-    as ``open(path)`` decodes them, as numpy's C tokenizer reads them, or
+def _parse_range(path, header: bool, span=slice(0, None)):
+    """The bytes of the file in span, a slice whose stop None is the file's
+    end, decoded as ``open(path)`` decodes them, its first line skipped if
+    header and span starts the file, as numpy's C tokenizer reads them, or
     None where that array might differ from what ``_load_csv_rows`` returns.
 
     The parse stops, and the file goes to the row parser, at the first line
@@ -297,15 +313,15 @@ def _parse_range(path, header: bool, start: int, stop=None):
 
     try:
         with open(path, "rb") as raw, warnings.catch_warnings():
-            raw.seek(start)
+            raw.seek(span.start)
             # A range that stops short of the end is read whole; one that runs
             # to the end is decoded as it is read.
-            fh = io.TextIOWrapper(
-                raw if stop is None else io.BytesIO(raw.read(stop - start)))
+            fh = io.TextIOWrapper(raw if span.stop is None else
+                                  io.BytesIO(raw.read(span.stop - span.start)))
             # A range of no data lines warns "input contained no data".
             warnings.simplefilter("ignore", UserWarning)
             v = np.loadtxt(lines(fh), dtype=float, delimiter=",", comments=None,
-                           skiprows=int(header), ndmin=2)
+                           skiprows=int(header and span.start == 0), ndmin=2)
     except ValueError:
         return None
     if (None in widths or not len(v) or v.shape[1] != widths[0]

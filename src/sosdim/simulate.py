@@ -30,10 +30,11 @@ whitening uses the same S0^{-1/2} for every lag, so the rows hold
 exactly the numbers a stack of the method's lags alone would. A chunk
 holds as many replicates as fit, as n x p float64 series, in
 dimtest._CHUNK_BYTES, and at most the table's replicates over its
-workers, so that every worker has a task; the calling process is one of
-the workers, so a table at N workers forks a pool of N - 1. Every
-replicate's numbers are those of the replicate drawn and tested on its
-own, so no table depends on the chunk size or the worker count.
+workers, so that every worker has a task; series._run_tasks runs them on
+N workers, the calling process and a pool of N - 1, or all in the calling
+process if it is daemonic. Every replicate's numbers are those of the
+replicate drawn and tested on its own, so no table depends on the chunk
+size or the worker count.
 zip(*tests) splits a method's batched arrays into each replicate's own,
 and every entry is computed from one replicate's draw, whitener and
 tests, as the library computes one series': a rejection entry reads
@@ -47,7 +48,6 @@ estimate_dimension do given those seeds.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache, partial
 
@@ -59,7 +59,7 @@ from .bss import LAG_PRESETS
 from .dimtest import (_check_q, _check_test_args, _chi2_tests, _chunk_reps,
                       _estimate, _p_values)
 from .errors import InvalidInputError, LagTooLargeError
-from .series import LagSet, MultiSeries, _as_int, _check_finite, _whiten
+from .series import LagSet, MultiSeries, _as_int, _check_finite, _run_tasks, _whiten
 
 _MAX_MIX_CONDITION = 1e8
 _PSI_TERMS = 4096
@@ -371,13 +371,9 @@ def _cells(setting, n_list, methods, reps, seed, entry, n_jobs):
     consecutive replicates, drawn, whitened and tested in one batched call
     each: as many replicates as fit, as n x p float64 series, in
     dimtest._CHUNK_BYTES (dimtest._chunk_reps), and at most the table's
-    replicates over its workers, so that every worker has a task. The
-    table runs on min(n_jobs, replicates) workers, this process among them:
-    a pool of the others takes the tasks from the back, and this process
-    runs every task the pool has not started and reads the others' results,
-    in task order. So the results, and the first error raised, are those of
-    the tasks run one after another. Every argument is checked before any
-    replicate runs.
+    replicates over its workers, so that every worker has a task, and
+    series._run_tasks runs them on min(n_jobs, replicates) workers. Every
+    argument is checked before any replicate runs.
     """
     reps, n_jobs = _as_int(reps, "reps"), _as_int(n_jobs, "n_jobs")
     if reps < 1:
@@ -403,19 +399,7 @@ def _cells(setting, n_list, methods, reps, seed, entry, n_jobs):
         step = min(_chunk_reps(setting.p, n, reps), total // workers)
         tasks += [(setting, n, range(reps)[first:first + step], seed, union,
                    plan, entry) for first in range(0, reps, step)]
-    if workers == 1:
-        out = [_chunk(task) for task in tasks]
-    else:
-        with ProcessPoolExecutor(workers - 1) as pool:
-            futures = [pool.submit(_chunk, task) for task in reversed(tasks)][::-1]
-            try:
-                out = [_chunk(task) if future.cancel() else future.result()
-                       for task, future in zip(tasks, futures)]
-            except BaseException:
-                for future in futures:
-                    future.cancel()
-                raise
-    out = np.concatenate(out)
+    out = np.concatenate(_run_tasks(_chunk, tasks, workers))
     return n_list, methods, out.reshape(len(n_list), reps, len(methods))
 
 

@@ -1,3 +1,4 @@
+import concurrent.futures
 import csv
 import json
 import subprocess
@@ -338,12 +339,10 @@ class TestSimulate:
 
     @pytest.mark.parametrize("threads", ["0", "-4"])
     def test_threads_below_one(self, capsys, monkeypatch, threads):
-        import sosdim.simulate
-
         def refuse(*args, **kwargs):
             raise AssertionError("process pool started")
 
-        monkeypatch.setattr(sosdim.simulate, "ProcessPoolExecutor", refuse)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", refuse)
         code, out, err = run([
             "simulate", "--setting", "H1", "--table", "dimension",
             "--n", "200", "--reps", "2", "--method", "amuse",

@@ -209,6 +209,12 @@ class TestJointDiagonalize:
             joint_diagonalize([np.eye(2)], max_sweeps=0)
         with pytest.raises(InvalidInputError):
             joint_diagonalize([np.eye(2), np.eye(3)])
+        # NaN rotation angles compare as no rotation, so a non-finite stack
+        # would come back "converged" with a NaN U.
+        for bad in (np.nan, np.inf, -np.inf):
+            with pytest.raises(InvalidInputError, match="finite"):
+                joint_diagonalize([[[bad, 0.0], [0.0, 1.0]],
+                                   [[1.0, 0.5], [0.5, 2.0]]])
 
     def test_rejects_asymmetric_input(self):
         with pytest.raises(InvalidInputError, match="not symmetric"):

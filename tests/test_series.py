@@ -423,15 +423,15 @@ def test_reads_a_pipe():
 @pytest.fixture
 def split_ranges(monkeypatch):
     """Every regular file is split, as if it were over the size threshold on
-    two CPUs; the list collects the arguments of each range sent to a pool."""
+    two CPUs; the list collects the byte span of each range sent to a pool."""
     if sys.platform != "linux":
         pytest.skip("files are split on Linux only")
     submitted = []
 
     class Pool(concurrent.futures.ProcessPoolExecutor):
-        def submit(self, fn, *args):
-            submitted.append(args)
-            return super().submit(fn, *args)
+        def submit(self, fn, span):
+            submitted.append(span)
+            return super().submit(fn, span)
 
     monkeypatch.setattr(series_module, "_SPLIT_BYTES", 1)
     monkeypatch.setattr(series_module, "_available_cpus", lambda: 2)
@@ -470,8 +470,9 @@ def test_split_fault_in_second_range(tmp_path, split_ranges, fault):
     path.write_text("\n".join(lines) + "\n")
     got = _outcome(series_module.load_csv, path, False)
     want = _outcome(series_module._load_csv_rows, path, False)
-    [(_, _, second_start)] = split_ranges
-    assert second_start <= len("\n".join(lines[:row - 1])) + 1  # row's start
+    [second] = split_ranges  # only the second range goes to the pool
+    assert second.stop is None
+    assert second.start <= len("\n".join(lines[:row - 1])) + 1  # row's start
     if fault == "quote":
         assert got[0] == want[0] == "ok"
         assert np.array_equal(got[1], data) and np.array_equal(want[1], data)

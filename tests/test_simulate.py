@@ -1,3 +1,5 @@
+import concurrent.futures
+import multiprocessing
 from functools import partial
 
 import numpy as np
@@ -442,12 +444,10 @@ class TestTables:
                                                     monkeypatch):
         # Every table argument, alpha included, is checked at the table's
         # entry: a bad one never reaches a worker.
-        import sosdim.simulate
-
         def refuse(*args, **kwargs):
             raise AssertionError("process pool started")
 
-        monkeypatch.setattr(sosdim.simulate, "ProcessPoolExecutor", refuse)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", refuse)
         s = make_setting("H1")
         args = {"methods": ["amuse"], "reps": 2, "n_jobs": 2, **bad}
         n_list = args.pop("n_list", [200])
@@ -469,25 +469,24 @@ class TestTables:
         # itself to `opened`, keeps its futures and hands out ones that
         # cancel unless started(i, workers) says the pool has started the
         # task.
-        def __init__(self, opened, started, max_workers):
+        def __init__(self, opened, started, max_workers, mp_context=None):
             opened.append(self)
             self.max_workers, self.futures = max_workers, []
             self.started = partial(started, workers=max_workers)
 
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
         def submit(self, fn, task):
             started = self.started(len(self.futures))
-            self.futures.append(TestTables.Future(partial(fn, task), started))
+            self.futures.append(TestTables.Future(fn, task, started))
             return self.futures[-1]
 
+        def shutdown(self, wait=True, *, cancel_futures=False):
+            for future in self.futures if cancel_futures else ():
+                future.cancel()
+
     class Future:
-        def __init__(self, run, started):
-            self.run, self.started, self.cancelled = run, started, False
+        def __init__(self, fn, task, started):
+            self.fn, self.task, self.started = fn, task, started
+            self.cancelled = False
 
         def cancel(self):
             self.cancelled = self.cancelled or not self.started
@@ -495,7 +494,7 @@ class TestTables:
 
         def result(self):
             assert not self.cancelled, "read a cancelled future"
-            return self.run()
+            return self.fn(self.task)
 
     @pytest.mark.parametrize("n_list, reps, n_jobs, pools, started", [
         ([200], 1, 4, [], "queue"),
@@ -512,16 +511,29 @@ class TestTables:
         # The calling process is one of the workers, so a table at N
         # workers opens a pool of N - 1, and whichever of them runs a task
         # the table is the serial one.
-        import sosdim.simulate
-
         opened = []
-        monkeypatch.setattr(sosdim.simulate, "ProcessPoolExecutor",
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
                             partial(self.Recording, opened, self.STARTED[started]))
         s = make_setting("H1")
         t = dimension_table(s, n_list, ["amuse"], reps=reps, seed=8,
                             n_jobs=n_jobs)
         assert [pool.max_workers for pool in opened] == pools
         serial = dimension_table(s, n_list, ["amuse"], reps=reps, seed=8)
+        assert np.array_equal(t.freq, serial.freq)
+
+    def test_the_caller_runs_the_first_task(self, monkeypatch):
+        # A pool of k starts up to k + 1 calls at once, so it could take the
+        # first task while the caller waits for it: the first task is never
+        # submitted, even to a pool that starts every task it is handed.
+        opened = []
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                            partial(self.Recording, opened, self.STARTED["all"]))
+        s = make_setting("H1")
+        t = dimension_table(s, [200], ["amuse"], reps=6, seed=8, n_jobs=3)
+        [pool] = opened
+        # Submitted from the back; [0, 1], replicate 0's task, never is.
+        assert [list(f.task[2]) for f in pool.futures] == [[4, 5], [2, 3]]
+        serial = dimension_table(s, [200], ["amuse"], reps=6, seed=8)
         assert np.array_equal(t.freq, serial.freq)
 
     @pytest.mark.parametrize("started", ["queue", "all", "none"])
@@ -546,7 +558,7 @@ class TestTables:
 
         monkeypatch.setattr(sosdim.simulate, "_chunk", fail_some)
         opened = []
-        monkeypatch.setattr(sosdim.simulate, "ProcessPoolExecutor",
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
                             partial(self.Recording, opened, self.STARTED[started]))
         s = make_setting("H1")
         for n_jobs in (1, 2):
@@ -700,6 +712,24 @@ class TestTables:
         s = make_setting("H1")
         with pytest.raises(InvalidInputError):
             rejection_table(s, [200], ["jade"], q=3, reps=2)
+
+
+def _tables_at(n_jobs):
+    s = make_setting("H1")
+    return (dimension_table(s, [200], ["amuse"], reps=4, seed=8,
+                            n_jobs=n_jobs).freq,
+            rejection_table(s, [200], ["amuse"], q=3, reps=4, seed=8,
+                            n_jobs=n_jobs).values)
+
+
+def test_tables_in_a_daemonic_process():
+    # A multiprocessing.Pool worker is daemonic and may start no process, so
+    # a table there runs every task itself.
+    with multiprocessing.get_context("fork").Pool(1) as pool:
+        [(dim, rej)] = pool.map(_tables_at, [2])
+    serial_dim, serial_rej = _tables_at(1)
+    assert np.array_equal(dim, serial_dim)
+    assert np.array_equal(rej, serial_rej)
 
 
 class TestDeskScaleBehavior:
