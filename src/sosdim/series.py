@@ -33,11 +33,14 @@ EIG_FLOOR_RATIO = 1e-12
 
 #: Files of at least this many bytes are parsed as two halves at once
 #: (_parse_bulk). Timed on a 2-core KVM guest in a warm process holding
-#: 100 MB, 10 alternating rounds a run, the split beat one pass in 1 of 10
-#: rounds on a 3.9 MB file (medians 88 vs 70 ms), in 0, 1 and 8 of 10 on
-#: 7.9 MB, in 1, 10 and 9 of 10 on 9.9 MB, and in 10 of 10 in each of three
-#: runs on 19.7 MB (275 vs 468 ms in the last). Below about 8 MB the forked
-#: pool costs about what the half parse saves.
+#: 100 MB, 10 alternating rounds a run, eight runs a size taken at different
+#: times, with _run_tasks' shared task counter: the split beat one pass in
+#: 0-2 of 10 rounds in six runs and 10 of 10 in two on a 3.9 MB file
+#: (medians 108 vs 81 ms in the last), and in 3-4 of 10 in two runs and
+#: 9-10 of 10 in six on 7.9 MB (118 vs 184 ms in the last). With the
+#: earlier process pool it won 1, 10 and 9 of 10 on 9.9 MB and 10 of 10 in
+#: each of three runs on 19.7 MB. Below about 8 MB the forked worker costs
+#: about what the half parse saves.
 _SPLIT_BYTES = 8 << 20
 
 
@@ -58,30 +61,103 @@ def _available_cpus() -> int:
     return os.cpu_count() or 1
 
 
+def _context():
+    """The multiprocessing context _run_tasks starts its workers from: fork
+    on Linux, where a fresh process would import numpy first, else the
+    platform's default (fork is unsafe on macOS)."""
+    import multiprocessing
+
+    return multiprocessing.get_context("fork" if sys.platform == "linux" else None)
+
+
 def _run_tasks(fn, tasks, workers: int) -> list:
     """[fn(t) for t in tasks], run on min(workers, len(tasks)) processes.
 
-    This process runs tasks[0], which it never submits, as a pool of k
-    starts up to k + 1 calls at once; then, in order, each task the pool,
-    taking them from the back, has not started, reading the others' results.
-    An error cancels every future, so the results and the first error are a
-    serial run's. A daemonic process runs every task itself. The pool forks
-    on Linux, else uses the default start method (fork is unsafe on macOS).
+    This process and workers - 1 daemonic ones each claim the next task's
+    index from one shared counter and run that task, until every task is
+    claimed or one has failed; no task is claimed ahead of time. This
+    process claims the first task before it starts any worker. The workers
+    send each (index, ok, result or error) over one pipe, and the results
+    are placed by index. After a failure no task is claimed, and once every
+    task below the lowest failing one has reported, that task's error is
+    raised, as in a serial run. A worker that exits without reporting raises
+    RuntimeError. Every worker is terminated and joined before this returns
+    or raises: by then none runs a task whose result is still wanted. A
+    daemonic process runs every task itself.
     """
-    import multiprocessing  # here, so that importing the CLI loads neither
-    from concurrent.futures import ProcessPoolExecutor
+    import multiprocessing  # here, so that importing the CLI loads none of it
 
     workers = min(workers, len(tasks))
     if workers < 2 or multiprocessing.current_process().daemon:
         return [fn(t) for t in tasks]
-    context = multiprocessing.get_context("fork") if sys.platform == "linux" else None
-    pool = ProcessPoolExecutor(workers - 1, mp_context=context)
+    ctx = _context()
+    state = ctx.Array("i", 2)  # the next task's index; 1 once a task failed
+    reader, writer = ctx.Pipe(duplex=False)
+    args = (fn, tasks, state, reader, writer, ctx.Lock())
+    results, errors, procs = {}, {}, []
     try:
-        futures = [pool.submit(fn, t) for t in reversed(tasks[1:])][::-1]
-        return [fn(tasks[0])] + [fn(t) if future.cancel() else future.result()
-                                 for t, future in zip(tasks[1:], futures)]
-    finally:  # after an error, no task the pool has not started runs
-        pool.shutdown(cancel_futures=True)
+        i = _claim(state, len(tasks))
+        for _ in range(workers - 1):
+            procs.append(ctx.Process(target=_work, args=args, daemon=True))
+            procs[-1].start()
+        writer.close()  # so that the pipe ends once every worker has exited
+        while i is not None:
+            try:
+                results[i] = fn(tasks[i])
+            except Exception as exc:
+                state[1] = 1
+                errors[i] = exc
+            i = _claim(state, len(tasks))
+        # Every task below the lowest failing one has been claimed.
+        while waiting := [j for j in range(min(errors, default=len(tasks)))
+                          if j not in results]:
+            try:
+                j, ok, value = reader.recv()
+            except EOFError:
+                raise RuntimeError(f"a worker process exited without reporting "
+                                   f"task {waiting[0]}") from None
+            (results if ok else errors)[j] = value
+        if errors:
+            raise errors[min(errors)]
+        return [results[j] for j in range(len(tasks))]
+    finally:
+        for p in procs:
+            p.terminate()  # one still running a task no result waits for
+            p.join()
+            p.close()
+        reader.close()
+        writer.close()
+
+
+def _claim(state, n: int):
+    """The index of the next of n tasks, from state = [next index, failed],
+    or None once every task is claimed or one has failed."""
+    with state.get_lock():
+        counter = state.get_obj()
+        i, failed = counter
+        if failed or i >= n:
+            return None
+        counter[0] = i + 1
+        return i
+
+
+def _work(fn, tasks, state, reader, writer, lock):
+    """A _run_tasks worker: claim and run tasks until none is left, sending
+    (index, ok, result or error) of each; the lock keeps one message whole.
+    It closes its copy of the reading end, so that once the calling process
+    has gone a send fails and the worker stops."""
+    reader.close()
+    while (i := _claim(state, len(tasks))) is not None:
+        try:
+            report = (i, True, fn(tasks[i]))
+        except Exception as exc:
+            state[1] = 1
+            report = (i, False, exc)
+        try:
+            with lock:
+                writer.send(report)
+        except BrokenPipeError:
+            return
 
 
 def _check_finite(v: np.ndarray) -> None:
@@ -261,8 +337,10 @@ def _parse_bulk(path, header: bool):
     might differ from what ``_load_csv_rows`` returns.
 
     A regular file of at least _SPLIT_BYTES, on Linux with two or more CPUs
-    available, is parsed by _run_tasks as two ranges split after a newline
-    near its middle byte, and the array is the two joined. Each range
+    available, is parsed as two ranges split after a newline near its
+    middle byte, and the array is the two joined. _run_tasks runs them on
+    two workers: this process claims the first range from their shared
+    counter, one worker process the second, which it sends back. Each range
     follows ``_parse_range``'s rules, and a file whose ranges differ in
     width, or where either range gives None, gives None. Smaller files,
     files with no newline after the middle byte, pipes, and files off Linux,

@@ -31,10 +31,12 @@ exactly the numbers a stack of the method's lags alone would. A chunk
 holds as many replicates as fit, as n x p float64 series, in
 dimtest._CHUNK_BYTES, and at most the table's replicates over its
 workers, so that every worker has a task; series._run_tasks runs them on
-N workers, the calling process and a pool of N - 1, or all in the calling
-process if it is daemonic. Every replicate's numbers are those of the
-replicate drawn and tested on its own, so no table depends on the chunk
-size or the worker count.
+N workers, the calling process and N - 1 worker processes, each of which
+claims the next task from one shared counter when it is free, or all in
+the calling process if it is daemonic. Every replicate's numbers are
+those of the replicate drawn and tested on its own, and each chunk's
+entries are placed by its task's index, so no table depends on the chunk
+size, the worker count or which worker ran a chunk.
 zip(*tests) splits a method's batched arrays into each replicate's own,
 and every entry is computed from one replicate's draw, whitener and
 tests, as the library computes one series': a rejection entry reads
@@ -372,8 +374,10 @@ def _cells(setting, n_list, methods, reps, seed, entry, n_jobs):
     each: as many replicates as fit, as n x p float64 series, in
     dimtest._CHUNK_BYTES (dimtest._chunk_reps), and at most the table's
     replicates over its workers, so that every worker has a task, and
-    series._run_tasks runs them on min(n_jobs, replicates) workers. Every
-    argument is checked before any replicate runs.
+    series._run_tasks runs them on min(n_jobs, replicates) workers, each of
+    which claims the next task from one shared counter when it is free.
+    Every argument is checked before any replicate runs, and so before any
+    worker process starts.
     """
     reps, n_jobs = _as_int(reps, "reps"), _as_int(n_jobs, "n_jobs")
     if reps < 1:

@@ -1,4 +1,3 @@
-import concurrent.futures
 import csv
 import json
 import subprocess
@@ -7,6 +6,7 @@ import sys
 import numpy as np
 import pytest
 
+from sosdim import series
 from sosdim.cli import EXIT_INPUT, EXIT_NUMERIC, EXIT_OK, SEED_ENV_VAR, main
 from sosdim.dimtest import REPORT_SCHEMA, TEST_SCHEMA, _ENTRY_FIELDS
 
@@ -339,10 +339,10 @@ class TestSimulate:
 
     @pytest.mark.parametrize("threads", ["0", "-4"])
     def test_threads_below_one(self, capsys, monkeypatch, threads):
-        def refuse(*args, **kwargs):
-            raise AssertionError("process pool started")
+        def refuse():
+            raise AssertionError("a worker process was started")
 
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", refuse)
+        monkeypatch.setattr(series, "_context", refuse)
         code, out, err = run([
             "simulate", "--setting", "H1", "--table", "dimension",
             "--n", "200", "--reps", "2", "--method", "amuse",

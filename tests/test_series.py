@@ -1,8 +1,10 @@
-import concurrent.futures
 import multiprocessing
 import os
+import signal
 import subprocess
 import sys
+import time
+from functools import partial
 
 import numpy as np
 import pytest
@@ -22,6 +24,8 @@ from sosdim import (
     symmetrize,
 )
 from sosdim import series as series_module
+
+from helpers import record_workers
 
 
 def series(arr):
@@ -423,20 +427,20 @@ def test_reads_a_pipe():
 @pytest.fixture
 def split_ranges(monkeypatch):
     """Every regular file is split, as if it were over the size threshold on
-    two CPUs; the list collects the byte span of each range sent to a pool."""
+    two CPUs; the list collects the byte spans of each split's two ranges."""
     if sys.platform != "linux":
         pytest.skip("files are split on Linux only")
-    submitted = []
+    splits = []
+    run_tasks = series_module._run_tasks
 
-    class Pool(concurrent.futures.ProcessPoolExecutor):
-        def submit(self, fn, span):
-            submitted.append(span)
-            return super().submit(fn, span)
+    def recorded(fn, spans, workers):
+        splits.append(spans)
+        return run_tasks(fn, spans, workers)
 
     monkeypatch.setattr(series_module, "_SPLIT_BYTES", 1)
     monkeypatch.setattr(series_module, "_available_cpus", lambda: 2)
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
-    return submitted
+    monkeypatch.setattr(series_module, "_run_tasks", recorded)
+    return splits
 
 
 @pytest.mark.parametrize("header", [False, True])
@@ -470,8 +474,8 @@ def test_split_fault_in_second_range(tmp_path, split_ranges, fault):
     path.write_text("\n".join(lines) + "\n")
     got = _outcome(series_module.load_csv, path, False)
     want = _outcome(series_module._load_csv_rows, path, False)
-    [second] = split_ranges  # only the second range goes to the pool
-    assert second.stop is None
+    [(first, second)] = split_ranges
+    assert first == slice(0, second.start) and second.stop is None
     assert second.start <= len("\n".join(lines[:row - 1])) + 1  # row's start
     if fault == "quote":
         assert got[0] == want[0] == "ok"
@@ -495,8 +499,8 @@ def test_split_in_a_daemonic_process(tmp_path, split_ranges):
     assert np.array_equal(got, data)
 
 
-def _no_pool(*args, **kwargs):
-    raise AssertionError("a process pool was started")
+def _no_pool():
+    raise AssertionError("a worker process was started")
 
 
 @pytest.mark.parametrize("threshold, cpus, platform",
@@ -509,7 +513,7 @@ def test_no_pool_where_a_split_cannot_win(tmp_path, monkeypatch, threshold,
         monkeypatch.setattr(series_module, "_SPLIT_BYTES", threshold)
     monkeypatch.setattr(series_module, "_available_cpus", lambda: cpus)
     monkeypatch.setattr(sys, "platform", platform)
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _no_pool)
+    monkeypatch.setattr(series_module, "_context", _no_pool)
     data = np.random.default_rng(24).standard_normal((2000, 5))
     path = tmp_path / "x.csv"
     np.savetxt(path, data, fmt="%.17g", delimiter=",")
@@ -520,15 +524,176 @@ def test_no_pool_where_a_split_cannot_win(tmp_path, monkeypatch, threshold,
 def test_no_pool_for_a_pipe():
     proc = subprocess.run(
         [sys.executable, "-c",
-         "import concurrent.futures\n"
          "from sosdim import load_csv, series\n"
          "series._SPLIT_BYTES = 1\n"
          "series._available_cpus = lambda: 2\n"
-         "def no_pool(*args, **kwargs):\n"
-         "    raise AssertionError('a process pool was started')\n"
-         "concurrent.futures.ProcessPoolExecutor = no_pool\n"
+         "def no_pool():\n"
+         "    raise AssertionError('a worker process was started')\n"
+         "series._context = no_pool\n"
          "print(load_csv('/dev/stdin').values.tolist())"],
         input="1,2\n3,4\n5,6\n", capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]]"
+
+
+@pytest.fixture
+def time_limit():
+    """Fail, rather than hang, a test whose _run_tasks call waits too long."""
+    if not hasattr(signal, "SIGALRM"):
+        pytest.skip("needs SIGALRM")
+
+    def expire(signum, frame):
+        raise TimeoutError("_run_tasks still waiting after 60 s")
+
+    handler = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(60)
+    yield
+    signal.alarm(0)
+    signal.signal(signal.SIGALRM, handler)
+
+
+def _square(t):
+    return t * t
+
+
+@pytest.mark.parametrize("tasks, workers", [(6, 2), (6, 3), (7, 5), (3, 8),
+                                            (1, 4), (5, 1)])
+def test_run_tasks_is_a_serial_run(monkeypatch, tasks, workers):
+    # N workers are the calling process and N - 1 started ones, never more
+    # than there are tasks, and the results are in task order.
+    started = record_workers(monkeypatch)
+    got = series_module._run_tasks(_square, list(range(tasks)), workers)
+    assert got == [t * t for t in range(tasks)]
+    assert len(started) == min(tasks, workers) - 1
+    assert multiprocessing.active_children() == []
+
+
+def _logged_square(log, t):
+    fd = os.open(log, os.O_WRONLY | os.O_APPEND | os.O_CREAT)
+    os.write(fd, f"{t}\n".encode())
+    os.close(fd)
+    return t * t
+
+
+def test_run_tasks_claims_each_task_once(tmp_path, time_limit):
+    # Six processes on fewer cores race for 3,000 short tasks: a lost update
+    # of the shared counter would run a task twice.
+    log = tmp_path / "claimed"
+    got = series_module._run_tasks(partial(_logged_square, log),
+                                   list(range(3000)), 6)
+    assert got == [t * t for t in range(3000)]
+    assert sorted(map(int, log.read_text().split())) == list(range(3000))
+    assert multiprocessing.active_children() == []
+
+
+def _fail_at_two(log, t):
+    with open(log, "a") as fh:
+        fh.write(f"{t}\n")
+    if t == 2:
+        raise ValueError("task 2 failed")
+    time.sleep(0.15 * (t + 1))
+    return t
+
+
+@pytest.mark.parametrize("workers", [2, 3])
+def test_run_tasks_claims_nothing_after_a_failure(tmp_path, workers,
+                                                  time_limit):
+    # Task 2 fails at once, while tasks 0 and 1 still run: no process claims
+    # task 3, and the error comes once tasks 0 and 1 have reported.
+    log = tmp_path / "claimed"
+    with pytest.raises(ValueError, match="task 2 failed"):
+        series_module._run_tasks(partial(_fail_at_two, log), list(range(8)),
+                                 workers)
+    assert sorted(map(int, log.read_text().split())) == [0, 1, 2]
+    assert multiprocessing.active_children() == []
+
+
+def _fail_one_late_and_two_at_once(t):
+    time.sleep({0: 0.1, 1: 0.3}.get(t, 0))  # a worker claims task 1
+    if t in (1, 2):
+        raise ValueError(f"task {t} failed")
+    return t
+
+
+@pytest.mark.parametrize("workers", [2, 3])
+def test_run_tasks_raises_the_lowest_failing_task(workers, time_limit):
+    # Task 2 fails first, but task 1 fails too, and its error is the one a
+    # serial run raises.
+    with pytest.raises(ValueError, match="task 1 failed"):
+        series_module._run_tasks(_fail_one_late_and_two_at_once,
+                                 list(range(6)), workers)
+    assert multiprocessing.active_children() == []
+
+
+def _fail_first(caller, t):
+    if os.getpid() == caller:
+        time.sleep(0.1)  # the worker has claimed task 1 by now
+        raise ValueError(f"task {t} failed")
+    time.sleep(60)
+    return t
+
+
+def test_run_tasks_does_not_wait_for_later_tasks(time_limit):
+    # Once the first task has failed, no later task can change the outcome,
+    # so a worker still running one is terminated rather than awaited.
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="task 0 failed"):
+        series_module._run_tasks(partial(_fail_first, os.getpid()),
+                                 list(range(4)), 2)
+    assert time.perf_counter() - start < 30
+    assert multiprocessing.active_children() == []
+
+
+def _exit_in_a_worker(caller, t):
+    if os.getpid() != caller:
+        os._exit(3)
+    time.sleep(0.1)
+    return t
+
+
+def test_run_tasks_raises_when_a_worker_exits_early(time_limit):
+    # A worker that dies mid-task never reports it; the calling process
+    # raises once the pipe ends, and does not wait for the missing result.
+    start = time.perf_counter()
+    with pytest.raises(RuntimeError, match="exited without reporting task"):
+        series_module._run_tasks(partial(_exit_in_a_worker, os.getpid()),
+                                 list(range(4)), 2)
+    assert time.perf_counter() - start < 10
+    assert multiprocessing.active_children() == []
+
+
+_CLAIM_AND_SLEEP = """
+import sys, time
+from functools import partial
+from sosdim import series
+def task(log, t):
+    with open(log, "a") as fh:
+        fh.write(f"{t}\\n")
+    time.sleep(0.05)
+    return t
+series._run_tasks(partial(task, sys.argv[1]), list(range(1000)), 2)
+"""
+
+
+@pytest.mark.skipif(sys.platform != "linux",
+                    reason="the script's workers fork on Linux only")
+def test_run_tasks_workers_stop_once_the_caller_is_killed(tmp_path):
+    # A killed calling process runs no finally block, so its worker must
+    # notice by itself: its next report finds no reader, and it claims no
+    # further task.
+    log = tmp_path / "claimed"
+    log.touch()
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    proc = subprocess.Popen([sys.executable, "-c", _CLAIM_AND_SLEEP, str(log)],
+                            env=env)
+    try:
+        deadline = time.monotonic() + 60
+        while len(log.read_text().split()) < 6 and time.monotonic() < deadline:
+            time.sleep(0.01)
+    finally:
+        proc.kill()
+        proc.wait()
+    claimed = len(log.read_text().split())
+    time.sleep(1)
+    assert 6 <= claimed and len(log.read_text().split()) <= claimed + 1

@@ -1,6 +1,5 @@
-import concurrent.futures
 import multiprocessing
-from functools import partial
+import os
 
 import numpy as np
 import pytest
@@ -22,6 +21,9 @@ from sosdim.simulate import (
     theoretical_variance,
 )
 from sosdim import presets
+from sosdim import series as series_module
+
+from helpers import record_workers
 
 
 class TestProcessSpec:
@@ -444,10 +446,10 @@ class TestTables:
                                                     monkeypatch):
         # Every table argument, alpha included, is checked at the table's
         # entry: a bad one never reaches a worker.
-        def refuse(*args, **kwargs):
-            raise AssertionError("process pool started")
+        def refuse():
+            raise AssertionError("a worker process was started")
 
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", refuse)
+        monkeypatch.setattr(series_module, "_context", refuse)
         s = make_setting("H1")
         args = {"methods": ["amuse"], "reps": 2, "n_jobs": 2, **bad}
         n_list = args.pop("n_list", [200])
@@ -457,95 +459,62 @@ class TestTables:
             else:
                 dimension_table(s, n_list, **args)
 
-    # When the caller asks to cancel the i-th task submitted to a pool of
-    # `workers`, has the pool started it? A ProcessPoolExecutor starts as
-    # many as its call queue holds, workers + 1, in submission order.
-    STARTED = {"queue": lambda i, workers: i < workers + 1,
-               "all": lambda i, workers: True,
-               "none": lambda i, workers: False}
-
-    class Recording:
-        # A stand-in for the pool: it runs the tasks in this process, adds
-        # itself to `opened`, keeps its futures and hands out ones that
-        # cancel unless started(i, workers) says the pool has started the
-        # task.
-        def __init__(self, opened, started, max_workers, mp_context=None):
-            opened.append(self)
-            self.max_workers, self.futures = max_workers, []
-            self.started = partial(started, workers=max_workers)
-
-        def submit(self, fn, task):
-            started = self.started(len(self.futures))
-            self.futures.append(TestTables.Future(fn, task, started))
-            return self.futures[-1]
-
-        def shutdown(self, wait=True, *, cancel_futures=False):
-            for future in self.futures if cancel_futures else ():
-                future.cancel()
-
-    class Future:
-        def __init__(self, fn, task, started):
-            self.fn, self.task, self.started = fn, task, started
-            self.cancelled = False
-
-        def cancel(self):
-            self.cancelled = self.cancelled or not self.started
-            return self.cancelled
-
-        def result(self):
-            assert not self.cancelled, "read a cancelled future"
-            return self.fn(self.task)
-
-    @pytest.mark.parametrize("n_list, reps, n_jobs, pools, started", [
-        ([200], 1, 4, [], "queue"),
-        ([200, 300], 1, 8, [1], "queue"),
-        ([200], 3, 2, [1], "queue"),
-        ([200], 3, 1, [], "queue"),
-        ([200], 6, 3, [2], "all"),
-        ([200], 6, 3, [2], "none"),
+    @pytest.mark.parametrize("n_list, reps, n_jobs, workers, mode", [
+        ([200], 1, 4, 0, "queue"),
+        ([200, 300], 1, 8, 1, "queue"),
+        ([200], 3, 2, 1, "queue"),
+        ([200], 3, 1, 0, "queue"),
+        ([200], 6, 3, 2, "all"),
+        ([200], 6, 3, 2, "none"),
     ], ids=["one-task", "two-tasks", "as-asked", "serial", "pool-runs-all",
             "caller-runs-all"])
     def test_pool_never_outnumbers_the_replicates(self, monkeypatch, n_list,
-                                                  reps, n_jobs, pools,
-                                                  started):
+                                                  reps, n_jobs, workers,
+                                                  mode):
         # The calling process is one of the workers, so a table at N
-        # workers opens a pool of N - 1, and whichever of them runs a task
+        # workers starts N - 1 processes, and whichever of them runs a task
         # the table is the serial one.
-        opened = []
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
-                            partial(self.Recording, opened, self.STARTED[started]))
+        started = record_workers(monkeypatch, mode)
         s = make_setting("H1")
         t = dimension_table(s, n_list, ["amuse"], reps=reps, seed=8,
                             n_jobs=n_jobs)
-        assert [pool.max_workers for pool in opened] == pools
+        assert len(started) == workers
+        assert multiprocessing.active_children() == []
         serial = dimension_table(s, n_list, ["amuse"], reps=reps, seed=8)
         assert np.array_equal(t.freq, serial.freq)
 
-    def test_the_caller_runs_the_first_task(self, monkeypatch):
-        # A pool of k starts up to k + 1 calls at once, so it could take the
-        # first task while the caller waits for it: the first task is never
-        # submitted, even to a pool that starts every task it is handed.
-        opened = []
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
-                            partial(self.Recording, opened, self.STARTED["all"]))
+    def test_the_caller_runs_the_first_task(self, monkeypatch, tmp_path):
+        # The calling process claims the first task before it starts any
+        # worker, and the workers claim the others from the same counter.
+        import sosdim.simulate
+
+        chunk, log = sosdim.simulate._chunk, tmp_path / "ran"
+
+        def logged(task):
+            with open(log, "a") as fh:
+                fh.write(f"{task[2][0]} {os.getpid()}\n")
+            return chunk(task)
+
+        monkeypatch.setattr(sosdim.simulate, "_chunk", logged)
+        started = record_workers(monkeypatch)
         s = make_setting("H1")
         t = dimension_table(s, [200], ["amuse"], reps=6, seed=8, n_jobs=3)
-        [pool] = opened
-        # Submitted from the back; [0, 1], replicate 0's task, never is.
-        assert [list(f.task[2]) for f in pool.futures] == [[4, 5], [2, 3]]
+        ran = dict(map(int, line.split())
+                   for line in log.read_text().splitlines())
+        assert sorted(ran) == [0, 2, 4]  # each task once, whoever ran it
+        assert ran[0] == os.getpid()
+        assert len(started) == 2 and len(set(ran.values())) <= 3
         serial = dimension_table(s, [200], ["amuse"], reps=6, seed=8)
         assert np.array_equal(t.freq, serial.freq)
 
-    @pytest.mark.parametrize("started", ["queue", "all", "none"])
+    @pytest.mark.parametrize("mode", ["queue", "all", "none"])
     @pytest.mark.parametrize("failing", [(1, 2), (0, 2)],
                              ids=["pool-tasks", "caller-and-pool-tasks"])
     def test_a_table_raises_the_error_of_its_first_failing_task(
-            self, monkeypatch, failing, started):
-        # Two workers run three one-replicate tasks: the pool takes them
-        # from the back and the caller from the front. Whoever runs them,
-        # the error raised is the lowest failing replicate's, as at
-        # n_jobs=1, where one task holds all three, and no task the pool
-        # has not started is left to run.
+            self, monkeypatch, failing, mode):
+        # Two workers run three one-replicate tasks. Whoever runs them, the
+        # error raised is the lowest failing replicate's, as at n_jobs=1,
+        # where one task holds all three, and no worker is left running.
         import sosdim.simulate
 
         chunk = sosdim.simulate._chunk
@@ -557,17 +526,29 @@ class TestTables:
             return chunk(task)
 
         monkeypatch.setattr(sosdim.simulate, "_chunk", fail_some)
-        opened = []
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
-                            partial(self.Recording, opened, self.STARTED[started]))
+        started = record_workers(monkeypatch, mode)
         s = make_setting("H1")
         for n_jobs in (1, 2):
             with pytest.raises(RuntimeError,
                                match=f"replicate {failing[0]} failed"):
                 dimension_table(s, [200], ["amuse"], reps=3, seed=8,
                                 n_jobs=n_jobs)
-        assert [pool.max_workers for pool in opened] == [1]
-        assert all(f.started or f.cancelled for f in opened[0].futures)
+        assert len(started) == 1
+        assert multiprocessing.active_children() == []
+
+    def test_tables_under_spawn(self, monkeypatch):
+        # Off Linux the workers start from the platform's default context,
+        # which on macOS and Windows spawns a fresh interpreter: a table
+        # there must be the serial one too.
+        monkeypatch.setattr(series_module, "_context",
+                            lambda: multiprocessing.get_context("spawn"))
+        s = make_setting("H1")
+        spawned = dimension_table(s, [200, 300], ["amuse", "sobi6"], reps=2,
+                                  seed=8, n_jobs=2)
+        serial = dimension_table(s, [200, 300], ["amuse", "sobi6"], reps=2,
+                                 seed=8)
+        assert np.array_equal(spawned.freq, serial.freq)
+        assert multiprocessing.active_children() == []
 
     @pytest.mark.parametrize("test_kind", ["asymptotic", "bootstrap"])
     @pytest.mark.parametrize("methods", [("amuse", "sobi6", "sobi12"),
