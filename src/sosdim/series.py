@@ -31,17 +31,15 @@ from .errors import (
 #: Relative eigenvalue floor below which a covariance counts as singular.
 EIG_FLOOR_RATIO = 1e-12
 
-#: Files of at least this many bytes are parsed as two halves at once
-#: (_parse_bulk). Timed on a 2-core KVM guest in a warm process holding
-#: 100 MB, 10 alternating rounds a run, eight runs a size taken at different
-#: times, with _run_tasks' shared task counter: the split beat one pass in
-#: 0-2 of 10 rounds in six runs and 10 of 10 in two on a 3.9 MB file
-#: (medians 108 vs 81 ms in the last), and in 3-4 of 10 in two runs and
-#: 9-10 of 10 in six on 7.9 MB (118 vs 184 ms in the last). With the
-#: earlier process pool it won 1, 10 and 9 of 10 on 9.9 MB and 10 of 10 in
-#: each of three runs on 19.7 MB. Below about 8 MB the forked worker costs
-#: about what the half parse saves.
-_SPLIT_BYTES = 8 << 20
+#: The fewest bytes of a file that _parse_bulk gives one range: a file of
+#: n * _SPLIT_BYTES or more is parsed as min(n, CPUs) ranges at once. Timed
+#: on a 2-core KVM guest in a warm process holding 100 MB, 30 alternating
+#: rounds of two ranges against one pass a size, in two runs: two ranges
+#: won 0 and 0 rounds on 0.40 MB (medians 10.9 vs 7.3 ms in the first run),
+#: 13 and 1 on 0.99 MB (20.7 vs 19.3 ms), 22 and 17 on 1.97 MB (32.7 vs
+#: 39.6 ms) and 28 and 28 on 3.95 MB (41.0 vs 52.5 ms). Near 1 MB a range
+#: saves about what its forked worker costs.
+_SPLIT_BYTES = 1 << 20
 
 
 def _as_int(value, name: str) -> int:
@@ -78,7 +76,8 @@ def _run_tasks(fn, tasks, workers: int) -> list:
     claimed or one has failed; no task is claimed ahead of time. This
     process claims the first task before it starts any worker. The workers
     send each (index, ok, result or error) over one pipe, and the results
-    are placed by index. After a failure no task is claimed, and once every
+    are placed by index; a worker's error arrives with its traceback, as
+    its __cause__. After a failure no task is claimed, and once every
     task below the lowest failing one has reported, that task's error is
     raised, as in a serial run. A worker that exits without reporting raises
     RuntimeError. Every worker is terminated and joined before this returns
@@ -116,7 +115,11 @@ def _run_tasks(fn, tasks, workers: int) -> list:
             except EOFError:
                 raise RuntimeError(f"a worker process exited without reporting "
                                    f"task {waiting[0]}") from None
-            (results if ok else errors)[j] = value
+            if ok:
+                results[j] = value
+            else:
+                errors[j], text = value
+                errors[j].__cause__ = _RemoteTraceback(text)
         if errors:
             raise errors[min(errors)]
         return [results[j] for j in range(len(tasks))]
@@ -141,18 +144,28 @@ def _claim(state, n: int):
         return i
 
 
+class _RemoteTraceback(Exception):
+    """The formatted traceback of an error raised in a _run_tasks worker,
+    set as that error's __cause__ in the calling process, as
+    concurrent.futures does, so that the traceback shown names the task's
+    frames."""
+
+
 def _work(fn, tasks, state, reader, writer, lock):
     """A _run_tasks worker: claim and run tasks until none is left, sending
-    (index, ok, result or error) of each; the lock keeps one message whole.
-    It closes its copy of the reading end, so that once the calling process
-    has gone a send fails and the worker stops."""
+    (index, True, result) of each, or (index, False, (error, its formatted
+    traceback)); the lock keeps one message whole. It closes its copy of
+    the reading end, so that once the calling process has gone a send fails
+    and the worker stops."""
+    import traceback  # here, so that importing the CLI loads none of it
+
     reader.close()
     while (i := _claim(state, len(tasks))) is not None:
         try:
             report = (i, True, fn(tasks[i]))
         except Exception as exc:
             state[1] = 1
-            report = (i, False, exc)
+            report = (i, False, (exc, f'\n"""\n{traceback.format_exc()}"""'))
         try:
             with lock:
                 writer.send(report)
@@ -336,32 +349,38 @@ def _parse_bulk(path, header: bool):
     """The file as numpy's C tokenizer reads it, or None where that array
     might differ from what ``_load_csv_rows`` returns.
 
-    A regular file of at least _SPLIT_BYTES, on Linux with two or more CPUs
-    available, is parsed as two ranges split after a newline near its
-    middle byte, and the array is the two joined. _run_tasks runs them on
-    two workers: this process claims the first range from their shared
-    counter, one worker process the second, which it sends back. Each range
-    follows ``_parse_range``'s rules, and a file whose ranges differ in
-    width, or where either range gives None, gives None. Smaller files,
-    files with no newline after the middle byte, pipes, and files off Linux,
-    where a worker imports numpy first at more cost than the half parse
-    saves, are parsed in one range.
+    On Linux a regular file of size bytes is parsed as up to k = min(CPUs
+    available, size // _SPLIT_BYTES) ranges, the i-th cut made after the
+    first newline at or past byte i * size // k; a cut that falls on an
+    earlier one or at the file's end is dropped. _run_tasks runs the ranges
+    on as many workers: this process claims the first range from their
+    shared counter, and worker processes claim the others and send them
+    back. The array is the ranges' arrays joined. Each range follows
+    ``_parse_range``'s rules, and a file whose ranges differ in width, or
+    where any range gives None, gives None. A file under 2 * _SPLIT_BYTES,
+    one CPU, a file with no newline past byte size // k, and any file off
+    Linux, where a worker imports numpy first at more cost than its range
+    saves, are parsed in one range; a pipe is left to the row parser.
     """
     if not os.path.isfile(path):  # a pipe yields its text only once
         return None
-    size = mid = os.path.getsize(path)  # mid = size: one range
-    if size >= _SPLIT_BYTES and sys.platform == "linux" and _available_cpus() > 1:
+    size = os.path.getsize(path)
+    k = min(_available_cpus(), size // _SPLIT_BYTES) if sys.platform == "linux" else 1
+    cuts = [0]
+    if k > 1:
         with open(path, "rb") as fh:
-            fh.seek(size // 2)
-            fh.readline()
-            mid = fh.tell()
-    if mid >= size:
+            for i in range(1, k):
+                fh.seek(i * size // k)
+                fh.readline()
+                if cuts[-1] < fh.tell() < size:
+                    cuts.append(fh.tell())
+    if len(cuts) == 1:
         return _parse_range(path, header)
-    first, second = _run_tasks(partial(_parse_range, path, header),
-                               [slice(0, mid), slice(mid, None)], 2)
-    if first is None or second is None or first.shape[1] != second.shape[1]:
+    spans = [slice(a, b) for a, b in zip(cuts, cuts[1:] + [None])]
+    parts = _run_tasks(partial(_parse_range, path, header), spans, len(spans))
+    if any(v is None for v in parts) or len({v.shape[1] for v in parts}) > 1:
         return None
-    return np.concatenate((first, second))
+    return np.concatenate(parts)
 
 
 def _parse_range(path, header: bool, span=slice(0, None)):
@@ -369,6 +388,9 @@ def _parse_range(path, header: bool, span=slice(0, None)):
     end, decoded as ``open(path)`` decodes them, its first line skipped if
     header and span starts the file, as numpy's C tokenizer reads them, or
     None where that array might differ from what ``_load_csv_rows`` returns.
+    Every span ``_parse_bulk`` cuts starts the file or follows a newline, so
+    a range holds whole lines of the file; "the first line" below is the
+    range's first.
 
     The parse stops, and the file goes to the row parser, at the first line
     that holds a quote, which can join lines into one record, or is blank
