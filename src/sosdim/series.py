@@ -31,15 +31,15 @@ from .errors import (
 #: Relative eigenvalue floor below which a covariance counts as singular.
 EIG_FLOOR_RATIO = 1e-12
 
-#: The fewest bytes of a file that _parse_bulk gives one range: a file of
-#: n * _SPLIT_BYTES or more is parsed as min(n, CPUs) ranges at once. Timed
-#: on a 2-core KVM guest in a warm process holding 100 MB, 30 alternating
-#: rounds of two ranges against one pass a size, in two runs: two ranges
-#: won 0 and 0 rounds on 0.40 MB (medians 10.9 vs 7.3 ms in the first run),
-#: 13 and 1 on 0.99 MB (20.7 vs 19.3 ms), 22 and 17 on 1.97 MB (32.7 vs
-#: 39.6 ms) and 28 and 28 on 3.95 MB (41.0 vs 52.5 ms). Near 1 MB a range
-#: saves about what its forked worker costs.
-_SPLIT_BYTES = 1 << 20
+#: Files of at least this many bytes are parsed as two halves at once
+#: (_parse_bulk). Timed on a 2-core KVM guest in a warm process holding
+#: 100 MB, 30 alternating rounds of two halves against one pass a size, in
+#: two runs: the halves won 0 and 0 rounds on 0.40 MB (medians 10.9 vs
+#: 7.3 ms in the first run), 13 and 1 on 0.99 MB (20.7 vs 19.3 ms), 22 and
+#: 17 on 1.97 MB (32.7 vs 39.6 ms) and 28 and 28 on 3.95 MB (41.0 vs
+#: 52.5 ms). Near 1 MB a half saves about what its forked worker costs.
+#: The 3.95 MB file is the estimate_wide benchmark's input.
+_SPLIT_BYTES = 2 << 20
 
 
 def _as_int(value, name: str) -> int:
@@ -349,38 +349,32 @@ def _parse_bulk(path, header: bool):
     """The file as numpy's C tokenizer reads it, or None where that array
     might differ from what ``_load_csv_rows`` returns.
 
-    On Linux a regular file of size bytes is parsed as up to k = min(CPUs
-    available, size // _SPLIT_BYTES) ranges, the i-th cut made after the
-    first newline at or past byte i * size // k; a cut that falls on an
-    earlier one or at the file's end is dropped. _run_tasks runs the ranges
-    on as many workers: this process claims the first range from their
-    shared counter, and worker processes claim the others and send them
-    back. The array is the ranges' arrays joined. Each range follows
-    ``_parse_range``'s rules, and a file whose ranges differ in width, or
-    where any range gives None, gives None. A file under 2 * _SPLIT_BYTES,
-    one CPU, a file with no newline past byte size // k, and any file off
-    Linux, where a worker imports numpy first at more cost than its range
-    saves, are parsed in one range; a pipe is left to the row parser.
+    A regular file of at least _SPLIT_BYTES, on Linux with two or more CPUs
+    available, is parsed as two ranges split after a newline near its
+    middle byte, and the array is the two joined. _run_tasks runs them on
+    two workers: this process claims the first range from their shared
+    counter, one worker process the second, which it sends back. Each range
+    follows ``_parse_range``'s rules, and a file whose ranges differ in
+    width, or where either range gives None, gives None. Smaller files,
+    files with no newline after the middle byte, pipes, and files off Linux,
+    where a worker imports numpy first at more cost than the half parse
+    saves, are parsed in one range.
     """
     if not os.path.isfile(path):  # a pipe yields its text only once
         return None
-    size = os.path.getsize(path)
-    k = min(_available_cpus(), size // _SPLIT_BYTES) if sys.platform == "linux" else 1
-    cuts = [0]
-    if k > 1:
+    size = mid = os.path.getsize(path)  # mid = size: one range
+    if size >= _SPLIT_BYTES and sys.platform == "linux" and _available_cpus() > 1:
         with open(path, "rb") as fh:
-            for i in range(1, k):
-                fh.seek(i * size // k)
-                fh.readline()
-                if cuts[-1] < fh.tell() < size:
-                    cuts.append(fh.tell())
-    if len(cuts) == 1:
+            fh.seek(size // 2)
+            fh.readline()
+            mid = fh.tell()
+    if mid >= size:
         return _parse_range(path, header)
-    spans = [slice(a, b) for a, b in zip(cuts, cuts[1:] + [None])]
-    parts = _run_tasks(partial(_parse_range, path, header), spans, len(spans))
-    if any(v is None for v in parts) or len({v.shape[1] for v in parts}) > 1:
+    first, second = _run_tasks(partial(_parse_range, path, header),
+                               [slice(0, mid), slice(mid, None)], 2)
+    if first is None or second is None or first.shape[1] != second.shape[1]:
         return None
-    return np.concatenate(parts)
+    return np.concatenate((first, second))
 
 
 def _parse_range(path, header: bool, span=slice(0, None)):
@@ -388,7 +382,7 @@ def _parse_range(path, header: bool, span=slice(0, None)):
     end, decoded as ``open(path)`` decodes them, its first line skipped if
     header and span starts the file, as numpy's C tokenizer reads them, or
     None where that array might differ from what ``_load_csv_rows`` returns.
-    Every span ``_parse_bulk`` cuts starts the file or follows a newline, so
+    Both spans ``_parse_bulk`` cuts start the file or follow a newline, so
     a range holds whole lines of the file; "the first line" below is the
     range's first.
 

@@ -425,37 +425,23 @@ def test_reads_a_pipe():
     assert proc.stdout.strip() == "[[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]]"
 
 
-def _record_splits(monkeypatch, cpus):
-    """Split every regular file as on the given number of CPUs, with a one
-    byte threshold; the list returned collects the byte spans of each
-    split's ranges."""
+@pytest.fixture
+def split_ranges(monkeypatch):
+    """Every regular file is split, as if it were over the size threshold on
+    two CPUs; the list collects the byte spans of each split's two ranges."""
     if sys.platform != "linux":
         pytest.skip("files are split on Linux only")
     splits = []
     run_tasks = series_module._run_tasks
 
     def recorded(fn, spans, workers):
-        assert workers == len(spans)
         splits.append(spans)
         return run_tasks(fn, spans, workers)
 
     monkeypatch.setattr(series_module, "_SPLIT_BYTES", 1)
-    monkeypatch.setattr(series_module, "_available_cpus", lambda: cpus)
+    monkeypatch.setattr(series_module, "_available_cpus", lambda: 2)
     monkeypatch.setattr(series_module, "_run_tasks", recorded)
     return splits
-
-
-@pytest.fixture
-def split_ranges(monkeypatch):
-    """The spans of each split in two, as on two CPUs, of every regular file."""
-    return _record_splits(monkeypatch, 2)
-
-
-@pytest.fixture(params=[3, 4])
-def split_k_ranges(monkeypatch, request):
-    """The CPU count, 3 or 4, and the spans of each split of every regular
-    file into up to that many ranges."""
-    return request.param, _record_splits(monkeypatch, request.param)
 
 
 @pytest.mark.parametrize("header", [False, True])
@@ -476,75 +462,27 @@ def test_split_well_formed_file_skips_row_parser(tmp_path, monkeypatch,
     assert len(split_ranges) == ("\n" in newline)
 
 
-def _split_with_fault(tmp_path, splits, fault, row, seed):
-    """Parse a 200 x 5 file with a fault in the given row, check that
-    load_csv agrees with the row parser and names that row and its column,
-    and return the spans of the one split and the byte where the row starts."""
-    data = np.random.default_rng(seed).standard_normal((200, 5))
-    lines = [",".join(f"{v:.17g}" for v in r) for r in data]
-    fields = lines[row - 1].split(",")
-    lines[row - 1] = {"quote": '"' + fields[0] + '",' + ",".join(fields[1:]),
+@pytest.mark.parametrize("fault", ["quote", "blank", "ragged"])
+def test_split_fault_in_second_range(tmp_path, split_ranges, fault):
+    data = np.random.default_rng(23).standard_normal((200, 5))
+    lines = [",".join(f"{v:.17g}" for v in row) for row in data]
+    row = 150
+    line = lines[row - 1]
+    lines[row - 1] = {"quote": '"' + line.replace(",", '",', 1),
                       "blank": "",
-                      "ragged": ",".join(fields[:-1]),
-                      "na": ",".join([fields[0], "NA", *fields[2:]])}[fault]
+                      "ragged": line.rsplit(",", 1)[0]}[fault]
     path = tmp_path / "x.csv"
     path.write_text("\n".join(lines) + "\n")
     got = _outcome(series_module.load_csv, path, False)
     want = _outcome(series_module._load_csv_rows, path, False)
+    [(first, second)] = split_ranges
+    assert first == slice(0, second.start) and second.stop is None
+    assert second.start <= len("\n".join(lines[:row - 1])) + 1  # row's start
     if fault == "quote":
         assert got[0] == want[0] == "ok"
         assert np.array_equal(got[1], data) and np.array_equal(want[1], data)
     else:
         assert got == want and got[1] == row
-        assert got[2] == {"blank": 1, "ragged": 5, "na": 2}[fault]
-    [spans] = splits
-    return spans, len("\n".join(lines[:row - 1])) + 1
-
-
-@pytest.mark.parametrize("fault", ["quote", "blank", "ragged"])
-def test_split_fault_in_second_range(tmp_path, split_ranges, fault):
-    (first, second), row_start = _split_with_fault(tmp_path, split_ranges,
-                                                   fault, 150, 23)
-    assert first == slice(0, second.start) and second.stop is None
-    assert second.start <= row_start
-
-
-def _check_spans(spans, data):
-    # Contiguous ranges from the file's start to its end, each but the first
-    # starting just after a newline, none of them empty.
-    assert spans[0].start == 0 and spans[-1].stop is None
-    assert all(a.stop == b.start for a, b in zip(spans, spans[1:]))
-    assert all(a.start < a.stop for a in spans[:-1])
-    assert spans[-1].start < len(data)
-    assert all(data[s.start - 1:s.start] == b"\n" for s in spans[1:])
-
-
-@pytest.mark.parametrize("header", [False, True])
-@pytest.mark.parametrize("name", sorted(CSV_CASES))
-def test_k_ranges_and_row_parser_agree(tmp_path, split_k_ranges, name, header):
-    test_bulk_and_row_parsers_agree(tmp_path, name, header)
-    for spans in split_k_ranges[1]:
-        _check_spans(spans, CSV_CASES[name].encode("utf-8"))
-
-
-@pytest.mark.parametrize("fault", ["quote", "blank", "ragged", "na"])
-def test_k_ranges_fault_in_last_range(tmp_path, split_k_ranges, fault):
-    cpus, splits = split_k_ranges
-    spans, row_start = _split_with_fault(tmp_path, splits, fault, 190, 27)
-    assert len(spans) == cpus and spans[-1].start <= row_start
-    _check_spans(spans, (tmp_path / "x.csv").read_bytes())
-
-
-def test_short_file_on_many_cpus(tmp_path, monkeypatch):
-    # Eight cuts in a three-line file fall on the same few newlines or at
-    # the end; each is kept once, and no range is empty.
-    splits = _record_splits(monkeypatch, 8)
-    path = tmp_path / "x.csv"
-    path.write_bytes(b"1,2\n3,4\n5,6\n")
-    assert np.array_equal(load_csv(path).values, [[1, 2], [3, 4], [5, 6]])
-    [spans] = splits
-    assert [(s.start, s.stop) for s in spans] == [(0, 4), (4, 8), (8, None)]
-    _check_spans(spans, path.read_bytes())
 
 
 def _load_values(path):
@@ -567,21 +505,21 @@ def _no_pool():
 
 
 # Rows of five "%.17e" fields of values in [1, 2) take 120 bytes each.
-_JUST_UNDER_TWO_RANGES = (2 * series_module._SPLIT_BYTES - 1) // 120
+_JUST_UNDER_THE_THRESHOLD = (series_module._SPLIT_BYTES - 1) // 120
 
 
 @pytest.mark.parametrize("threshold, cpus, platform, rows, cols", [
     pytest.param(None, 2, "linux", 2000, 5, id="None-2-linux"),
     pytest.param(1, 1, "linux", 2000, 5, id="1-1-linux"),
     pytest.param(1, 2, "darwin", 2000, 5, id="1-2-darwin"),
-    pytest.param(None, 2, "linux", _JUST_UNDER_TWO_RANGES, 5,
-                 id="just-under-two-ranges"),
+    pytest.param(None, 2, "linux", _JUST_UNDER_THE_THRESHOLD, 5,
+                 id="just-under-the-threshold"),
     pytest.param(None, 2, "linux", 2000, 10, id="d1-shaped"),
 ])
 def test_no_pool_where_a_split_cannot_win(tmp_path, monkeypatch, threshold,
                                           cpus, platform, rows, cols):
-    # A file under twice the threshold, any file on one CPU, and any file
-    # off Linux, where fork is not the default start method, is one range.
+    # A file under the threshold, any file on one CPU, and any file off
+    # Linux, where fork is not the default start method, is one range.
     if threshold is not None:
         monkeypatch.setattr(series_module, "_SPLIT_BYTES", threshold)
     monkeypatch.setattr(series_module, "_available_cpus", lambda: cpus)
@@ -590,11 +528,33 @@ def test_no_pool_where_a_split_cannot_win(tmp_path, monkeypatch, threshold,
     data = np.random.default_rng(24).uniform(1, 2, (rows, cols))
     path = tmp_path / "x.csv"
     np.savetxt(path, data, fmt="%.17e", delimiter=",")
-    if rows == _JUST_UNDER_TWO_RANGES:
-        assert 0 < 2 * series_module._SPLIT_BYTES - path.stat().st_size <= 120
+    if rows == _JUST_UNDER_THE_THRESHOLD:
+        assert 0 < series_module._SPLIT_BYTES - path.stat().st_size <= 120
     if cols == 10:  # the size of a bootstrap_d1 input, T = 2000 and p = 10
         assert 0.4e6 < path.stat().st_size < 0.5e6
     assert np.array_equal(load_csv(path).values, data)
+
+
+def test_split_from_the_threshold(tmp_path, monkeypatch):
+    # A file of _SPLIT_BYTES or a few bytes more is split on two CPUs.
+    if sys.platform != "linux":
+        pytest.skip("files are split on Linux only")
+    splits = []
+    run_tasks = series_module._run_tasks
+
+    def recorded(fn, spans, workers):
+        splits.append(spans)
+        return run_tasks(fn, spans, workers)
+
+    monkeypatch.setattr(series_module, "_available_cpus", lambda: 2)
+    monkeypatch.setattr(series_module, "_run_tasks", recorded)
+    rows = -(-series_module._SPLIT_BYTES // 120)  # 120 bytes a row, as above
+    data = np.random.default_rng(25).uniform(1, 2, (rows, 5))
+    path = tmp_path / "x.csv"
+    np.savetxt(path, data, fmt="%.17e", delimiter=",")
+    assert 0 <= path.stat().st_size - series_module._SPLIT_BYTES < 120
+    assert np.array_equal(load_csv(path).values, data)
+    assert len(splits) == 1
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/stdin"), reason="needs /dev/stdin")
