@@ -7,6 +7,7 @@ standardized_autocovs forms the covariance and every autocovariance of
 its whitened stack from one centring of the series. The whitening kernel
 (_whiten) takes series time-major, as (..., p, T) arrays, so a batch of
 series is one call; a single series passes the view x.values.T.
+load_csv reads a file or a pipe once, and every CSV parse reads those bytes.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from .errors import (
 #: Relative eigenvalue floor below which a covariance counts as singular.
 EIG_FLOOR_RATIO = 1e-12
 
-#: Files of at least this many bytes are parsed as two halves at once
+#: Inputs of at least this many bytes are parsed as two halves at once
 #: (_parse_bulk). Timed on a 2-core KVM guest in a warm process holding
 #: 100 MB, 30 alternating rounds of two halves against one pass a size, in
 #: two runs: the halves won 0 and 0 rounds on 0.40 MB (medians 10.9 vs
@@ -154,10 +155,12 @@ class _RemoteTraceback(Exception):
 def _work(fn, tasks, state, reader, writer, lock):
     """A _run_tasks worker: claim and run tasks until none is left, sending
     (index, True, result) of each, or (index, False, (error, its formatted
-    traceback)); the lock keeps one message whole. It closes its copy of
-    the reading end, so that once the calling process has gone a send fails
-    and the worker stops."""
-    import traceback  # here, so that importing the CLI loads none of it
+    traceback)); the lock keeps one message whole, and an error that pickle
+    cannot rebuild goes as a RuntimeError naming its class and message. It
+    closes its copy of the reading end, so that once the calling process has
+    gone a send fails and the worker stops."""
+    import pickle  # here, so that importing the CLI loads none of it
+    import traceback
 
     reader.close()
     while (i := _claim(state, len(tasks))) is not None:
@@ -165,6 +168,10 @@ def _work(fn, tasks, state, reader, writer, lock):
             report = (i, True, fn(tasks[i]))
         except Exception as exc:
             state[1] = 1
+            try:
+                pickle.loads(pickle.dumps(exc))
+            except Exception:
+                exc = RuntimeError(f"{type(exc).__name__}: {exc}")
             report = (i, False, (exc, f'\n"""\n{traceback.format_exc()}"""'))
         try:
             with lock:
@@ -338,55 +345,51 @@ def _whiten(xt: np.ndarray, lags: LagSet):
 def load_csv(path, header: bool = False) -> MultiSeries:
     """Read a series from CSV, one row per time point.
 
-    Parse failures report 1-based row and column numbers. No missing
-    values are allowed and every entry must be a finite decimal.
+    The input, a file or a pipe, is read whole into memory once, and every
+    parse reads those bytes. Parse failures report 1-based row and column
+    numbers. No missing values are allowed; every entry is a finite decimal.
     """
-    v = _parse_bulk(path, header)
-    return MultiSeries(v) if v is not None else _load_csv_rows(path, header)
+    with open(path, "rb") as fh:
+        data = fh.read()
+    v = _parse_bulk(data, header)
+    return MultiSeries(v) if v is not None else _load_csv_rows(data, header)
 
 
-def _parse_bulk(path, header: bool):
-    """The file as numpy's C tokenizer reads it, or None where that array
-    might differ from what ``_load_csv_rows`` returns.
+def _parse_bulk(data: bytes, header: bool):
+    """The bytes data as numpy's C tokenizer reads them, or None where that
+    array might differ from what ``_load_csv_rows`` returns.
 
-    A regular file of at least _SPLIT_BYTES, on Linux with two or more CPUs
-    available, is parsed as two ranges split after a newline near its
+    Data of at least _SPLIT_BYTES, on Linux with two or more CPUs available,
+    is parsed as two ranges split after the first newline at or past its
     middle byte, and the array is the two joined. _run_tasks runs them on
     two workers: this process claims the first range from their shared
-    counter, one worker process the second, which it sends back. Each range
-    follows ``_parse_range``'s rules, and a file whose ranges differ in
-    width, or where either range gives None, gives None. Smaller files,
-    files with no newline after the middle byte, pipes, and files off Linux,
+    counter, one forked worker process the second, which it sends back.
+    Each range follows ``_parse_range``'s rules, and data whose ranges
+    differ in width, or where either range gives None, gives None. Smaller
+    data, data with no newline after the middle byte, and data off Linux,
     where a worker imports numpy first at more cost than the half parse
     saves, are parsed in one range.
     """
-    if not os.path.isfile(path):  # a pipe yields its text only once
-        return None
-    size = mid = os.path.getsize(path)  # mid = size: one range
+    size = mid = len(data)  # mid = size: one range
     if size >= _SPLIT_BYTES and sys.platform == "linux" and _available_cpus() > 1:
-        with open(path, "rb") as fh:
-            fh.seek(size // 2)
-            fh.readline()
-            mid = fh.tell()
+        mid = data.find(b"\n", size // 2) + 1 or size
     if mid >= size:
-        return _parse_range(path, header)
-    first, second = _run_tasks(partial(_parse_range, path, header),
+        return _parse_range(data, header)
+    first, second = _run_tasks(partial(_parse_range, data, header),
                                [slice(0, mid), slice(mid, None)], 2)
     if first is None or second is None or first.shape[1] != second.shape[1]:
         return None
     return np.concatenate((first, second))
 
 
-def _parse_range(path, header: bool, span=slice(0, None)):
-    """The bytes of the file in span, a slice whose stop None is the file's
-    end, decoded as ``open(path)`` decodes them, its first line skipped if
-    header and span starts the file, as numpy's C tokenizer reads them, or
-    None where that array might differ from what ``_load_csv_rows`` returns.
-    Both spans ``_parse_bulk`` cuts start the file or follow a newline, so
-    a range holds whole lines of the file; "the first line" below is the
-    range's first.
+def _parse_range(data: bytes, header: bool, span=slice(0, None)):
+    """data[span] (a stop of None is the end), decoded as a text file is,
+    its first line skipped if header and span starts the data, as numpy's C
+    tokenizer reads it, or None where that array might differ from what
+    ``_load_csv_rows`` returns. Both spans ``_parse_bulk`` cuts start the
+    data or follow a newline, so "the first line" below is the range's first.
 
-    The parse stops, and the file goes to the row parser, at the first line
+    The parse stops, and the data goes to the row parser, at the first line
     that holds a quote, which can join lines into one record, or is blank
     or whitespace only, which ``loadtxt`` skips and ``csv.reader`` does
     not. The array is kept only when it has rows, as many columns as the
@@ -405,16 +408,14 @@ def _parse_range(path, header: bool, span=slice(0, None)):
                 widths.append(line.count(",") + 1)
             yield line
 
+    raw = io.BytesIO(data[: span.stop])  # data[:None] is data: no copy
+    raw.seek(span.start)
     try:
-        with open(path, "rb") as raw, warnings.catch_warnings():
-            raw.seek(span.start)
-            # A range that stops short of the end is read whole; one that runs
-            # to the end is decoded as it is read.
-            fh = io.TextIOWrapper(raw if span.stop is None else
-                                  io.BytesIO(raw.read(span.stop - span.start)))
+        with warnings.catch_warnings():
             # A range of no data lines warns "input contained no data".
             warnings.simplefilter("ignore", UserWarning)
-            v = np.loadtxt(lines(fh), dtype=float, delimiter=",", comments=None,
+            v = np.loadtxt(lines(io.TextIOWrapper(raw)), dtype=float,
+                           delimiter=",", comments=None,
                            skiprows=int(header and span.start == 0), ndmin=2)
     except ValueError:
         return None
@@ -424,9 +425,10 @@ def _parse_range(path, header: bool, span=slice(0, None)):
     return v
 
 
-def _records(fh):
-    """``csv.reader(fh)``, raising its errors and decoding errors as input errors."""
-    reader = csv.reader(fh)
+def _records(data: bytes):
+    """``csv.reader`` of data decoded as a text file opened with newline=""
+    is, raising its errors and decoding errors as input errors."""
+    reader = csv.reader(io.TextIOWrapper(io.BytesIO(data), newline=""))
     try:
         yield from reader
     except csv.Error as exc:  # e.g. a field over csv.field_size_limit()
@@ -436,35 +438,32 @@ def _records(fh):
             f"input does not decode as {exc.encoding}: {exc.reason}") from None
 
 
-def _load_csv_rows(path, header: bool = False) -> MultiSeries:
-    """``load_csv`` one record at a time with ``csv.reader``: the reference
-    parser, and the one that reports where a file is malformed."""
+def _load_csv_rows(data: bytes, header: bool = False) -> MultiSeries:
+    """``load_csv`` of data one record at a time with ``_records``: the
+    reference parser, and the one that reports where data is malformed."""
     rows = []
-    width = None
-    with open(path, newline="") as fh:
-        for r, record in enumerate(_records(fh), start=1):
-            if header and r == 1:
-                width = len(record)
+    for r, record in enumerate(_records(data), start=1):
+        if r == 1:
+            width = len(record)
+            if header:
                 continue
-            if width is None:
-                width = len(record)
-            elif len(record) != width:
-                raise CsvParseError(
-                    r, len(record) + 1, f"expected {width} fields, got {len(record)}"
-                )
-            parsed = []
-            for c, field in enumerate(record, start=1):
-                text = field.strip()
-                if not text:
-                    raise CsvParseError(r, c, "missing value")
-                try:
-                    val = float(text)
-                except ValueError:
-                    raise CsvParseError(r, c, f"not a number: {text!r}") from None
-                if not np.isfinite(val):
-                    raise CsvParseError(r, c, f"non-finite value: {text!r}")
-                parsed.append(val)
-            rows.append(parsed)
+        elif len(record) != width:
+            raise CsvParseError(
+                r, len(record) + 1, f"expected {width} fields, got {len(record)}"
+            )
+        parsed = []
+        for c, field in enumerate(record, start=1):
+            text = field.strip()
+            if not text:
+                raise CsvParseError(r, c, "missing value")
+            try:
+                val = float(text)
+            except ValueError:
+                raise CsvParseError(r, c, f"not a number: {text!r}") from None
+            if not np.isfinite(val):
+                raise CsvParseError(r, c, f"non-finite value: {text!r}")
+            parsed.append(val)
+        rows.append(parsed)
     if not rows:
         raise CsvParseError(1, 1, "empty input")
     return MultiSeries(np.asarray(rows))

@@ -3,6 +3,7 @@ import os
 import signal
 import subprocess
 import sys
+import threading
 import time
 import traceback
 from functools import partial
@@ -373,6 +374,11 @@ CSV_CASES = {
 }
 
 
+def _rows(path, header=False):
+    """The reference parser on the bytes of the file at path."""
+    return series_module._load_csv_rows(path.read_bytes(), header)
+
+
 def _outcome(parse, path, header):
     try:
         return "ok", parse(path, header=header).values
@@ -388,7 +394,7 @@ def test_bulk_and_row_parsers_agree(tmp_path, name, header):
     path = tmp_path / "x.csv"
     path.write_bytes(CSV_CASES[name].encode("utf-8"))
     got = _outcome(series_module.load_csv, path, header)
-    want = _outcome(series_module._load_csv_rows, path, header)
+    want = _outcome(_rows, path, header)
     assert got[0] == want[0]
     if got[0] == "ok":
         assert np.array_equal(got[1], want[1])
@@ -401,7 +407,7 @@ def test_bulk_and_row_parsers_agree(tmp_path, name, header):
                                             ("\r\n", True), ("\r", True)])
 def test_well_formed_file_skips_row_parser(tmp_path, monkeypatch, header,
                                            newline, final):
-    def refuse(path, header=False):
+    def refuse(data, header=False):
         raise AssertionError("row parser reached on a well-formed file")
 
     data = np.random.default_rng(16).standard_normal((200, 5))
@@ -427,8 +433,8 @@ def test_reads_a_pipe():
 
 @pytest.fixture
 def split_ranges(monkeypatch):
-    """Every regular file is split, as if it were over the size threshold on
-    two CPUs; the list collects the byte spans of each split's two ranges."""
+    """Every input is split, as if it were over the size threshold on two
+    CPUs; the list collects the byte spans of each split's two ranges."""
     if sys.platform != "linux":
         pytest.skip("files are split on Linux only")
     splits = []
@@ -474,7 +480,7 @@ def test_split_fault_in_second_range(tmp_path, split_ranges, fault):
     path = tmp_path / "x.csv"
     path.write_text("\n".join(lines) + "\n")
     got = _outcome(series_module.load_csv, path, False)
-    want = _outcome(series_module._load_csv_rows, path, False)
+    want = _outcome(_rows, path, False)
     [(first, second)] = split_ranges
     assert first == slice(0, second.start) and second.stop is None
     assert second.start <= len("\n".join(lines[:row - 1])) + 1  # row's start
@@ -557,23 +563,6 @@ def test_split_from_the_threshold(tmp_path, monkeypatch):
     assert len(splits) == 1
 
 
-@pytest.mark.skipif(not os.path.exists("/dev/stdin"), reason="needs /dev/stdin")
-def test_no_pool_for_a_pipe():
-    proc = subprocess.run(
-        [sys.executable, "-c",
-         "from sosdim import load_csv, series\n"
-         "series._SPLIT_BYTES = 1\n"
-         "series._available_cpus = lambda: 2\n"
-         "def no_pool():\n"
-         "    raise AssertionError('a worker process was started')\n"
-         "series._context = no_pool\n"
-         "print(load_csv('/dev/stdin').values.tolist())"],
-        input="1,2\n3,4\n5,6\n", capture_output=True, text=True, timeout=120,
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]]"
-
-
 @pytest.fixture
 def time_limit():
     """Fail, rather than hang, a test whose _run_tasks call waits too long."""
@@ -588,6 +577,59 @@ def time_limit():
     yield
     signal.alarm(0)
     signal.signal(signal.SIGALRM, handler)
+
+
+def _fifo(tmp_path, data: bytes):
+    """A FIFO in tmp_path that a thread fills with data once it is opened
+    for reading. A second open for reading finds no writer and blocks."""
+    path = tmp_path / "x.fifo"
+    os.mkfifo(path)
+
+    def write():
+        with open(path, "wb") as fh:
+            fh.write(data)
+
+    threading.Thread(target=write, daemon=True).start()
+    return path
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs os.mkfifo")
+@pytest.mark.parametrize("split", [False, True])
+@pytest.mark.parametrize("header", [False, True])
+@pytest.mark.parametrize("name", sorted(CSV_CASES))
+def test_a_fifo_reads_as_the_file(tmp_path, request, time_limit, split, name,
+                                  header):
+    # A FIFO yields its bytes once, so load_csv opens it once; it then gives
+    # the file's array or error, and is split where the file is.
+    splits = request.getfixturevalue("split_ranges") if split else []
+    data = CSV_CASES[name].encode("utf-8")
+    path = tmp_path / "x.csv"
+    path.write_bytes(data)
+    want = _outcome(load_csv, path, header)
+    file_splits = list(splits)
+    got = _outcome(load_csv, _fifo(tmp_path, data), header)
+    assert got[0] == want[0]
+    if got[0] == "ok":
+        assert np.array_equal(got[1], want[1])
+    else:
+        assert got == want
+    assert len(file_splits) <= 1 and splits == file_splits * 2
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs os.mkfifo")
+def test_a_fifo_gets_the_bulk_parser_and_the_split(tmp_path, monkeypatch,
+                                                   split_ranges, time_limit):
+    def refuse(data, header=False):
+        raise AssertionError("row parser reached on a well-formed FIFO")
+
+    data = np.random.default_rng(26).standard_normal((200, 5))
+    text = "".join(",".join(f"{v:.17g}" for v in row) + "\n" for row in data)
+    monkeypatch.setattr(series_module, "_load_csv_rows", refuse)
+    got = load_csv(_fifo(tmp_path, text.encode()))
+    assert np.array_equal(got.values, data)
+    [(first, second)] = split_ranges
+    assert first == slice(0, second.start) and second.stop is None
+    assert text[second.start - 1] == "\n"
 
 
 def _square(t):
@@ -718,6 +760,32 @@ def test_run_tasks_keeps_a_workers_traceback(tmp_path, time_limit):
             partial(_divide_by_zero_in_a_worker, tmp_path / "claimed"), [0, 1], 2)
     shown = "".join(traceback.format_exception(err.type, err.value, err.tb))
     assert 'in _divide_by_zero_in_a_worker\n    return t / 0' in shown
+    assert multiprocessing.active_children() == []
+
+
+class _Odd(Exception):
+    """An error that pickles but cannot be rebuilt from its args."""
+
+    def __init__(self, a, b):
+        super().__init__(f"{a} {b}")
+
+
+def _odd_in_a_worker(claimed, t):
+    if t == 0:
+        return _divide_by_zero_in_a_worker(claimed, t)
+    open(claimed, "w").close()
+    raise _Odd("bad", 1)
+
+
+def test_run_tasks_names_an_error_pickle_cannot_rebuild(tmp_path, time_limit):
+    # The caller cannot rebuild _Odd("bad", 1) from its args ("bad 1",), so
+    # it raises an error that names the class and message, with the
+    # worker's traceback as its cause.
+    with pytest.raises(RuntimeError, match=r"^_Odd: bad 1$") as err:
+        series_module._run_tasks(
+            partial(_odd_in_a_worker, tmp_path / "claimed"), [0, 1], 2)
+    shown = "".join(traceback.format_exception(err.type, err.value, err.tb))
+    assert 'raise _Odd("bad", 1)' in shown
     assert multiprocessing.active_children() == []
 
 
