@@ -388,6 +388,15 @@ def _outcome(parse, path, header):
         return type(err).__name__, str(err)
 
 
+def _assert_same(got, want):
+    """Two _outcome results agree: the same array, or the same error."""
+    assert got[0] == want[0]
+    if got[0] == "ok":
+        assert np.array_equal(got[1], want[1])
+    else:
+        assert got == want
+
+
 @pytest.mark.parametrize("header", [False, True])
 @pytest.mark.parametrize("name", sorted(CSV_CASES))
 def test_bulk_and_row_parsers_agree(tmp_path, name, header):
@@ -395,11 +404,7 @@ def test_bulk_and_row_parsers_agree(tmp_path, name, header):
     path.write_bytes(CSV_CASES[name].encode("utf-8"))
     got = _outcome(series_module.load_csv, path, header)
     want = _outcome(_rows, path, header)
-    assert got[0] == want[0]
-    if got[0] == "ok":
-        assert np.array_equal(got[1], want[1])
-    else:
-        assert got == want
+    _assert_same(got, want)
 
 
 @pytest.mark.parametrize("header", [False, True])
@@ -608,11 +613,7 @@ def test_a_fifo_reads_as_the_file(tmp_path, request, time_limit, split, name,
     want = _outcome(load_csv, path, header)
     file_splits = list(splits)
     got = _outcome(load_csv, _fifo(tmp_path, data), header)
-    assert got[0] == want[0]
-    if got[0] == "ok":
-        assert np.array_equal(got[1], want[1])
-    else:
-        assert got == want
+    _assert_same(got, want)
     assert len(file_splits) <= 1 and splits == file_splits * 2
 
 
