@@ -42,12 +42,14 @@ import math
 import numbers
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import islice
 
 import numpy as np
 
 from .bss import UnmixingResult, _energy_basis, _whitened
 from .errors import InvalidInputError
-from .series import LagSet, MultiSeries, _as_int, _symmetrized, _whiten
+from .series import (LagSet, MultiSeries, _as_int, _generators, _symmetrized,
+                     _whiten)
 
 
 @dataclass(frozen=True)
@@ -173,15 +175,19 @@ def _bootstrap_p(zt: np.ndarray, lags: LagSet, q: int, m_hat: float,
                  b_reps: int, seed) -> float:
     """Bootstrap p-value of the observed m_hat of q, resampling the time
     points of zt[q:], where zt holds the sources (see _p_values). Replicate
-    c resamples with child c of SeedSequence(seed), and the replicates are
-    whitened in chunks of _chunk_reps, one kernel call each."""
+    c resamples with the Generator of child c of SeedSequence(seed), which
+    is SeedSequence(entropy, spawn_key=(c,)) of its entropy (fresh for
+    seed=None); series._generators seeds all b_reps children in one pass.
+    The replicates are whitened in chunks of _chunk_reps, one kernel call
+    each."""
     p, n = zt.shape
-    children = np.random.SeedSequence(seed).spawn(b_reps)
+    entropy = np.random.SeedSequence(seed).entropy
+    rngs = _generators([entropy], [(c,) for c in range(b_reps)])
     step = _chunk_reps(p, n, b_reps)
     count = 0
     for first in range(0, b_reps, step):
-        idx = np.array([np.random.default_rng(child).integers(0, n, size=n)
-                        for child in children[first:first + step]])
+        idx = np.array([rng.integers(0, n, size=n)
+                        for rng in islice(rngs, min(step, b_reps - first))])
         chunk = np.empty((len(idx), p, n))
         chunk[:, :q] = zt[:q]
         chunk[:, q:] = np.take(zt[q:], idx, axis=1).swapaxes(0, 1)

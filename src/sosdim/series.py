@@ -8,6 +8,8 @@ its whitened stack from one centring of the series. The whitening kernel
 (_whiten) takes series time-major, as (..., p, T) arrays, so a batch of
 series is one call; a single series passes the view x.values.T.
 load_csv reads a file or a pipe once, and every CSV parse reads those bytes.
+_run_tasks is the one process runner, and _generators the one batched
+seeding of numpy Generators, for the Monte Carlo tables and the bootstrap.
 """
 
 from __future__ import annotations
@@ -41,6 +43,15 @@ EIG_FLOOR_RATIO = 1e-12
 #: 52.5 ms). Near 1 MB a half saves about what its forked worker costs.
 #: The 3.95 MB file is the estimate_wide benchmark's input.
 _SPLIT_BYTES = 2 << 20
+
+# numpy's SeedSequence (numpy/random/bit_generator.pyx) and PCG64
+# (numpy/random/src/pcg64/pcg64.h) constants, for _generators.
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK32, _MASK128 = (1 << 32) - 1, (1 << 128) - 1
 
 
 def _as_int(value, name: str) -> int:
@@ -78,9 +89,10 @@ def _run_tasks(fn, tasks, workers: int) -> list:
     process claims the first task before it starts any worker. The workers
     send each (index, ok, result or error) over one pipe, and the results
     are placed by index; a worker's error arrives with its traceback, as
-    its __cause__. After a failure no task is claimed, and once every
-    task below the lowest failing one has reported, that task's error is
-    raised, as in a serial run. A worker that exits without reporting raises
+    its __cause__, and a result that pickle cannot send fails its task.
+    After a failure no task is claimed, and once every task below the
+    lowest failing one has reported, that task's error is raised, as in a
+    serial run. A worker that exits without reporting raises
     RuntimeError. Every worker is terminated and joined before this returns
     or raises: by then none runs a task whose result is still wanted. A
     daemonic process runs every task itself.
@@ -155,29 +167,170 @@ class _RemoteTraceback(Exception):
 def _work(fn, tasks, state, reader, writer, lock):
     """A _run_tasks worker: claim and run tasks until none is left, sending
     (index, True, result) of each, or (index, False, (error, its formatted
-    traceback)); the lock keeps one message whole, and an error that pickle
-    cannot rebuild goes as a RuntimeError naming its class and message. It
-    closes its copy of the reading end, so that once the calling process has
-    gone a send fails and the worker stops."""
+    traceback)). Each report is pickled before it is sent, and the lock
+    keeps one message whole. An error that pickle cannot rebuild goes as a
+    RuntimeError naming its class and message, and a result that pickle
+    cannot send as a failure of its task, a RuntimeError naming the result's
+    type. It closes its copy of the reading end, so that once the calling
+    process has gone a send fails and the worker stops."""
     import pickle  # here, so that importing the CLI loads none of it
     import traceback
+
+    def failure(i, error):
+        state[1] = 1
+        return pickle.dumps((i, False, (error, f'\n"""\n{traceback.format_exc()}"""')))
 
     reader.close()
     while (i := _claim(state, len(tasks))) is not None:
         try:
-            report = (i, True, fn(tasks[i]))
+            result = fn(tasks[i])
         except Exception as exc:
-            state[1] = 1
             try:
                 pickle.loads(pickle.dumps(exc))
             except Exception:
                 exc = RuntimeError(f"{type(exc).__name__}: {exc}")
-            report = (i, False, (exc, f'\n"""\n{traceback.format_exc()}"""'))
+            report = failure(i, exc)
+        else:
+            try:
+                report = pickle.dumps((i, True, result))
+            except Exception:
+                report = failure(i, RuntimeError(
+                    f"task {i} returned a {type(result).__name__}, which pickle "
+                    f"cannot send"))
         try:
             with lock:
-                writer.send(report)
+                writer.send_bytes(report)
         except BrokenPipeError:
             return
+
+
+def _uint32_words(entropy) -> list:
+    """SeedSequence's uint32 words of entropy: an integer >= 0 as its
+    32-bit words, least significant first (0 is one word), and a sequence
+    as the words of its items in turn."""
+    if isinstance(entropy, (int, np.integer)):
+        value, words = int(entropy), []
+        if value < 0:
+            raise ValueError(f"entropy must be non-negative, got {value}")
+        while True:
+            words.append(value & _MASK32)
+            value >>= 32
+            if not value:
+                return words
+    return [word for item in entropy for word in _uint32_words(item)]
+
+
+def _hash_consts(init: int, mult: int, count: int) -> np.ndarray:
+    """The hash constants init * mult**k mod 2**32, k = 0, ..., count."""
+    consts = [init]
+    for _ in range(count):
+        consts.append(consts[-1] * mult & _MASK32)
+    return np.array(consts, dtype=np.uint32)
+
+
+def _hashmix(value: np.ndarray, xor: np.ndarray, mult: np.ndarray) -> np.ndarray:
+    """SeedSequence's hashmix of uint32 values, broadcast against the hash
+    constants xor and mult that its running constant takes at each call."""
+    value = (value ^ xor) * mult
+    return value ^ value >> np.uint32(16)
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """SeedSequence's mix of uint32 words x and y."""
+    result = x * np.uint32(_MIX_MULT_L) - y * np.uint32(_MIX_MULT_R)
+    return result ^ result >> np.uint32(16)
+
+
+def _word_groups(values) -> list:
+    """(indices, words) for each word count among the _uint32_words of
+    values: the indices of the values with that count, and their words as a
+    len(indices) x count uint32 array."""
+    groups = {}
+    for i, value in enumerate(values):
+        words = _uint32_words(value)
+        groups.setdefault(len(words), []).append((i, words))
+    return [([i for i, _ in group],
+             np.array([words for _, words in group], dtype=np.uint32)
+             .reshape(len(group), n))
+            for n, group in groups.items()]
+
+
+def _pool_states(entropy: np.ndarray) -> np.ndarray:
+    """SeedSequence's generate_state(8) of the pool of every row of the
+    m x L uint32 array of assembled entropy words, as an m x 8 array.
+
+    The rows are hashed in one pass of uint32 array arithmetic, which wraps
+    mod 2**32 as SeedSequence's does; the pool's steps that hash one source
+    word run on every destination word at once. Past the entropy's end the
+    pool hashes zeros, and each word past the pool is mixed into every pool
+    word.
+    """
+    entropy = np.pad(entropy, ((0, 0), (0, max(0, _POOL_SIZE - entropy.shape[1]))))
+    extra = entropy.shape[1] - _POOL_SIZE
+    a = _hash_consts(_INIT_A, _MULT_A, _POOL_SIZE ** 2 + _POOL_SIZE * extra)
+    pool = _hashmix(entropy[:, :_POOL_SIZE], a[:_POOL_SIZE], a[1:_POOL_SIZE + 1])
+    k = _POOL_SIZE
+    for src in range(_POOL_SIZE):
+        dst = [d for d in range(_POOL_SIZE) if d != src]
+        h = _hashmix(pool[:, src, None], a[k:k + len(dst)], a[k + 1:k + len(dst) + 1])
+        pool[:, dst] = _mix(pool[:, dst], h)
+        k += len(dst)
+    for src in range(_POOL_SIZE, entropy.shape[1]):
+        h = _hashmix(entropy[:, src, None], a[k:k + _POOL_SIZE],
+                     a[k + 1:k + _POOL_SIZE + 1])
+        pool = _mix(pool, h)
+        k += _POOL_SIZE
+    b = _hash_consts(_INIT_B, _MULT_B, 2 * _POOL_SIZE)
+    return _hashmix(np.tile(pool, 2), b[:-1], b[1:])
+
+
+def _seed_states(entropies, keys) -> np.ndarray:
+    """SeedSequence(entropy, spawn_key=key).generate_state(4, np.uint64) of
+    every key and entropy, as a len(keys) x len(entropies) x 4 uint64 array.
+
+    Each pair's words are assembled as SeedSequence assembles them: the
+    entropy's, padded with zeros to the pool size when the key has words,
+    then the key's. The pairs of one entropy word count and one key word
+    count go through _pool_states together.
+    """
+    state = np.empty((len(keys), len(entropies), 2 * _POOL_SIZE), dtype=np.uint32)
+    entropy_groups = _word_groups(entropies)
+    for ki, kw in _word_groups(keys):
+        for ei, ew in entropy_groups:
+            if kw.shape[1]:
+                ew = np.pad(ew, ((0, 0), (0, max(0, _POOL_SIZE - ew.shape[1]))))
+            shape = (len(ki), len(ei))
+            words = np.concatenate([np.broadcast_to(ew, shape + ew.shape[1:]),
+                                    np.broadcast_to(kw[:, None], shape + kw.shape[1:])],
+                                   axis=-1)
+            words = words.reshape(len(ki) * len(ei), words.shape[-1])
+            state[np.ix_(ki, ei)] = _pool_states(words).reshape(shape + (-1,))
+    # Word pairs read as little-endian uint64, as generate_state reads them.
+    return state.astype("<u4").view("<u8").astype(np.uint64)
+
+
+def _generators(entropies, keys):
+    """Yield a Generator in the state of
+    np.random.default_rng(np.random.SeedSequence(entropy, spawn_key=key))
+    for each key and, within it, each entropy.
+
+    Every state is computed before the first is yielded: _seed_states gives
+    each pair's SeedSequence words s0, s1 (the PCG64 seed) and i0, i1 (its
+    stream), and PCG64's seeding, in Python integers mod 2**128, sets
+    inc = (i << 1) | 1 and state = ((inc + s) * M + inc). One Generator is
+    re-seeded for each pair, so a caller draws from it before taking the
+    next.
+    """
+    states = _seed_states(entropies, keys).reshape(-1, 4).tolist()
+    rng = np.random.Generator(np.random.PCG64(0))
+    for s0, s1, i0, i1 in states:
+        inc = ((i0 << 64 | i1) << 1 | 1) & _MASK128
+        rng.bit_generator.state = {
+            "bit_generator": "PCG64",
+            "state": {"state": ((inc + (s0 << 64 | s1)) * _PCG64_MULT + inc) & _MASK128,
+                      "inc": inc},
+            "has_uint32": 0, "uinteger": 0}
+        yield rng
 
 
 def _check_finite(v: np.ndarray) -> None:

@@ -3,9 +3,11 @@
 All randomness flows through numpy SeedSequence entropy lists, so a table
 regenerated with the same master seed is bit-identical regardless of the
 worker count: replicate (n, rep) always draws from entropy
-[master_seed, n, rep], process j from its child
-SeedSequence([master_seed, n, rep], spawn_key=(j,)) and the mixing from
-child p.
+[master_seed, n, rep], process j from the Generator
+default_rng(SeedSequence([master_seed, n, rep], spawn_key=(j,))) and the
+mixing from child p. series._generators computes the states of every
+child of a chunk in one pass, by SeedSequence's own mixing and PCG64's
+seeding, and builds no SeedSequence or Generator per child.
 
 The named settings (make_setting; presets holds the coefficients), signals
 first, then noise, every process at unit variance. S5 is a synthetic
@@ -21,9 +23,10 @@ stand-in for the paper's 20-channel sound recording.
     S5    H1's three                                17 t(5)        uniform [0, 1]
 
 A table runs in tasks of one sample size n and a chunk of consecutive
-replicates. A task draws its chunk in one batch (_draw: one filter call
-per process and one mixing product for the whole chunk; simulate_setting
-and generate are the batch of one), whitens it in one kernel call into
+replicates. A task draws its chunk in one batch (_draw: one seeding pass,
+one filter call per process, written into that process's column of one
+array, and one mixing product for the whole chunk; simulate_setting and
+generate are the batch of one), whitens it in one kernel call into
 the stacks of the union of the methods' lags, and makes one batched
 _chi2_tests call per method on the method's rows of those stacks. The
 whitening uses the same S0^{-1/2} for every lag, so the rows hold
@@ -52,6 +55,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache, partial
+from itertools import islice
 
 import numpy as np
 from scipy.signal import lfilter
@@ -61,7 +65,8 @@ from .bss import LAG_PRESETS
 from .dimtest import (_check_q, _check_test_args, _chi2_tests, _chunk_reps,
                       _estimate, _p_values)
 from .errors import InvalidInputError, LagTooLargeError
-from .series import LagSet, MultiSeries, _as_int, _check_finite, _run_tasks, _whiten
+from .series import (LagSet, MultiSeries, _as_int, _check_finite, _generators,
+                     _run_tasks, _whiten)
 
 _MAX_MIX_CONDITION = 1e8
 _PSI_TERMS = 4096
@@ -138,22 +143,29 @@ def theoretical_autocov(spec: ProcessSpec, lag: int) -> float:
     return g / theoretical_variance(spec)
 
 
+def _check_length(n: int) -> None:
+    """Raise InvalidInputError unless the series length n is at least 1."""
+    if n < 1:
+        raise InvalidInputError("n must be >= 1")
+
+
 def generate(spec: ProcessSpec, n: int, seed) -> np.ndarray:
     """Simulate n samples by innovation recursion with burn-in, rescaled
     to unit theoretical variance."""
-    return _generate(spec, n, [seed])[0]
+    _check_length(n)
+    out = np.empty((1, n))
+    _generate(spec, [np.random.default_rng(seed)], out)
+    return out[0]
 
 
-def _generate(spec: ProcessSpec, n: int, seeds) -> np.ndarray:
-    """generate of every seed, as a len(seeds) x n array: each row draws its
-    innovations from default_rng(seed), and one filter call runs them all."""
-    if n < 1:
-        raise InvalidInputError("n must be >= 1")
+def _generate(spec: ProcessSpec, rngs, out: np.ndarray) -> None:
+    """Write generate's b x n samples into out, a b x n array or view: row i
+    draws its innovations from the i-th Generator of the iterable rngs,
+    which must yield at least b, and one filter call runs every row."""
     burn = 1000 + 10 * spec.order
-    total = n + burn
-    eps = np.empty((len(seeds), total))
-    for row, seed in zip(eps, seeds):
-        rng = np.random.default_rng(seed)
+    total = out.shape[-1] + burn
+    eps = np.empty((len(out), total))
+    for row, rng in zip(eps, rngs):
         if spec.innovation == "gaussian":
             rng.standard_normal(out=row)
         else:
@@ -161,9 +173,10 @@ def _generate(spec: ProcessSpec, n: int, seeds) -> np.ndarray:
     if spec.innovation == "t":
         eps *= np.sqrt((spec.t_df - 2.0) / spec.t_df)
     if spec.kind == "white":
-        return eps[:, burn:]
-    x = _arma_filter(spec, eps)[:, burn:]
-    return x / np.sqrt(theoretical_variance(spec))
+        out[...] = eps[:, burn:]
+    else:
+        np.divide(_arma_filter(spec, eps)[:, burn:],
+                  np.sqrt(theoretical_variance(spec)), out=out)
 
 
 @dataclass(frozen=True)
@@ -222,15 +235,14 @@ def make_setting(name: str) -> SimSetting:
             f"unknown setting: {name!r}; expected one of {SETTING_NAMES}") from None
 
 
-def _mixing(mixing, p: int, seed) -> np.ndarray:
+def _mixing(mixing, p: int, rng: np.random.Generator) -> np.ndarray:
     """The p x p mixing matrix Omega: the identity, or uniform on [0, 1]
-    from default_rng(seed), redrawn until its condition number is below
+    from the Generator rng, redrawn until its condition number is below
     1e8."""
     if not isinstance(mixing, str) or mixing not in ("identity", "uniform"):
         raise InvalidInputError(f"unknown mixing: {mixing!r}")
     if mixing == "identity":
         return np.eye(p)
-    rng = np.random.default_rng(seed)
     while True:
         omega = rng.uniform(0.0, 1.0, size=(p, p))
         if np.linalg.cond(omega) < _MAX_MIX_CONDITION:
@@ -243,34 +255,38 @@ def mix(sources: MultiSeries, mixing, seed=None):
     mixing is "identity" or "uniform" (redrawn until the condition number
     is below 1e8).
     """
-    omega = _mixing(mixing, sources.p, seed)
+    omega = _mixing(mixing, sources.p, np.random.default_rng(seed))
     return MultiSeries(sources.values @ omega.T), omega
 
 
 def simulate_setting(setting: SimSetting, n: int, seed):
-    """Draw one replicate: returns (mixed series, Omega, sources)."""
-    x, omega, z = _draw(setting, n, [seed])
+    """Draw one replicate: returns (mixed series, Omega, sources). The seed
+    is any entropy np.random.SeedSequence takes, None for fresh entropy."""
+    x, omega, z = _draw(setting, n, [np.random.SeedSequence(seed).entropy])
     return MultiSeries(x[0].copy()), omega[0], MultiSeries(z[0])
 
 
-def _draw(setting: SimSetting, n: int, seeds):
-    """simulate_setting of every seed, batched: (x, Omega, z) as b x n x p,
-    b x p x p and b x n x p arrays, b = len(seeds). Replicate i draws
-    process j from child SeedSequence(seeds[i], spawn_key=(j,)), which is
-    SeedSequence(seeds[i]).spawn(p + 1)[j], and the mixing from child p.
-    One _generate call draws each process for every replicate, and one
-    product mixes them all; under identity mixing x is z itself, and no
-    mixing child is built."""
-    p = setting.p
-    z = np.stack([_generate(spec, n, [np.random.SeedSequence(seed, spawn_key=(j,))
-                                      for seed in seeds])
-                  for j, spec in enumerate(setting.processes)], axis=-1)
+def _draw(setting: SimSetting, n: int, entropies):
+    """simulate_setting of every entropy, batched: (x, Omega, z) as
+    b x n x p, b x p x p and b x n x p arrays, b = len(entropies).
+    Replicate i draws process j from the Generator of child
+    SeedSequence(entropies[i], spawn_key=(j,)), which is
+    SeedSequence(entropies[i]).spawn(p + 1)[j], and the mixing from child
+    p. One series._generators call seeds every child of the chunk, one
+    _generate call writes each process of every replicate into its column
+    of z, and one product mixes them all; under identity mixing x is z
+    itself, and no mixing child is seeded."""
+    _check_length(n)
+    b, p = len(entropies), setting.p
+    mixed = setting.mixing != "identity"
+    rngs = _generators(entropies, [(j,) for j in range(p + mixed)])
+    z = np.empty((b, n, p))
+    for j, spec in enumerate(setting.processes):
+        _generate(spec, islice(rngs, b), z[..., j])
     _check_finite(z)
-    if setting.mixing == "identity":
-        return z, np.tile(np.eye(p), (len(seeds), 1, 1)), z
-    omega = np.array([_mixing(setting.mixing, p,
-                              np.random.SeedSequence(seed, spawn_key=(p,)))
-                      for seed in seeds])
+    if not mixed:
+        return z, np.tile(np.eye(p), (b, 1, 1)), z
+    omega = np.array([_mixing(setting.mixing, p, rng) for rng in rngs])
     x = z @ omega.swapaxes(-1, -2)
     _check_finite(x)
     return x, omega, z

@@ -790,6 +790,27 @@ def test_run_tasks_names_an_error_pickle_cannot_rebuild(tmp_path, time_limit):
     assert multiprocessing.active_children() == []
 
 
+def _lock_in_a_worker(claimed, t):
+    if t == 0:
+        return _divide_by_zero_in_a_worker(claimed, t)
+    open(claimed, "w").close()
+    return threading.Lock()
+
+
+def test_run_tasks_names_a_result_pickle_cannot_send(tmp_path, time_limit):
+    # A worker cannot send the lock its task returned; the task fails with
+    # an error that names the result's type, with the worker's traceback of
+    # the pickling error as its cause, and the worker does not die silently.
+    with pytest.raises(RuntimeError,
+                       match=r"^task 1 returned a lock, which pickle cannot send$") as err:
+        series_module._run_tasks(
+            partial(_lock_in_a_worker, tmp_path / "claimed"), [0, 1], 2)
+    assert isinstance(err.value.__cause__, series_module._RemoteTraceback)
+    shown = "".join(traceback.format_exception(err.type, err.value, err.tb))
+    assert "cannot pickle" in shown and "pickle.dumps((i, True, result))" in shown
+    assert multiprocessing.active_children() == []
+
+
 _CLAIM_AND_SLEEP = """
 import sys, time
 from functools import partial

@@ -1,5 +1,6 @@
 import multiprocessing
 import os
+from functools import partial
 
 import numpy as np
 import pytest
@@ -326,6 +327,78 @@ class TestSimulateSetting:
                 assert np.array_equal(got, want), (name, i)
             for got, want in zip((x[i], omega[i], z[i]), ref):
                 assert np.array_equal(got, want), (name, i)
+
+
+
+class TestSeeding:
+    # series._generators must give the Generator that
+    # default_rng(SeedSequence(entropy, spawn_key=key)) gives, on every word
+    # count SeedSequence's mixing treats differently. CI also runs this
+    # class under -W error on its oldest numpy pins.
+    ENTROPIES = [
+        0,
+        [13, 300, 2],  # a replicate's [seed, n, rep]
+        2**32,  # two words
+        2**70,  # three words
+        [1, 2, 3, 4, 5, 6, 7],  # longer than the pool
+        [2**64 - 1, 2**40, 9],  # six words, split from three integers
+        [np.uint64(2**40), np.int32(6), np.uint8(3)],
+        np.uint64(2**63 + 5),
+        [],
+    ]
+    KEYS = [(), (0,), (3,), (2**32,), (2**32 + 7,), (np.int64(2), 6)]
+
+    def test_states_are_seedsequences(self):
+        from sosdim.series import _seed_states
+
+        got = _seed_states(self.ENTROPIES, self.KEYS)
+        assert got.dtype == np.uint64
+        assert got.shape == (len(self.KEYS), len(self.ENTROPIES), 4)
+        for a, key in enumerate(self.KEYS):
+            for b, entropy in enumerate(self.ENTROPIES):
+                want = np.random.SeedSequence(entropy, spawn_key=key).generate_state(
+                    4, np.uint64)
+                assert np.array_equal(got[a, b], want), (entropy, key)
+
+    def test_draws_are_default_rngs(self):
+        # An odd count of integers leaves half a 64-bit draw buffered; the
+        # next pair's Generator must not start from it.
+        from sosdim.series import _generators
+
+        def draws(rng, n=7):
+            return (rng.standard_normal(n), rng.standard_t(5.0, size=n),
+                    rng.uniform(size=n), rng.integers(0, n, size=n))
+
+        pairs = [(e, k) for k in self.KEYS for e in self.ENTROPIES]
+        got = [draws(rng) for rng in _generators(self.ENTROPIES, self.KEYS)]
+        assert len(got) == len(pairs)
+        for (entropy, key), one in zip(pairs, got):
+            rng = np.random.default_rng(np.random.SeedSequence(entropy, spawn_key=key))
+            for g, w in zip(one, draws(rng)):
+                assert np.array_equal(g, w), (entropy, key)
+
+    def test_no_seedsequence_per_row(self, monkeypatch):
+        # A table's chunk seeds its rows in one pass, and a bootstrap builds
+        # its seed's SeedSequence once, not one per replicate.
+        from sosdim.dimtest import _bootstrap_p
+        from sosdim.series import LagSet
+        from sosdim.simulate import _chunk, _dimension_entry
+
+        built = []
+        real_ss, real_rng = np.random.SeedSequence, np.random.default_rng
+        monkeypatch.setattr(np.random, "SeedSequence",
+                            lambda *a, **k: built.append("ss") or real_ss(*a, **k))
+        monkeypatch.setattr(np.random, "default_rng",
+                            lambda *a, **k: built.append("rng") or real_rng(*a, **k))
+        lags = LagSet((1, 2))
+        plan = ((lags, np.arange(2)),)
+        _chunk((make_setting("S5"), 200, range(4), 1, lags, plan,
+                partial(_dimension_entry, alpha=0.05, strategy="forward",
+                        test_kind="asymptotic", b_reps=1)))
+        assert built == []
+        zt = real_rng(3).standard_normal((3, 200))
+        _bootstrap_p(zt, lags, 1, 0.0, 9, [4, 5])
+        assert built == ["ss"]
 
 
 class TestTables:
