@@ -90,6 +90,9 @@ def _run_tasks(fn, tasks, workers: int) -> list:
     send each (index, ok, result or error) over one pipe, and the results
     are placed by index; a worker's error arrives with its traceback, as
     its __cause__, and a result that pickle cannot send fails its task.
+    This process reads the reports waiting on the pipe after each task it
+    runs, so a worker whose report is larger than the pipe's buffer does
+    not wait there for the last task to finish.
     After a failure no task is claimed, and once every task below the
     lowest failing one has reported, that task's error is raised, as in a
     serial run. A worker that exits without reporting raises
@@ -113,26 +116,37 @@ def _run_tasks(fn, tasks, workers: int) -> list:
             procs.append(ctx.Process(target=_work, args=args, daemon=True))
             procs[-1].start()
         writer.close()  # so that the pipe ends once every worker has exited
+
+        def take():  # one report; EOFError once every worker has exited
+            j, ok, value = reader.recv()
+            if ok:
+                results[j] = value
+            else:
+                errors[j], text = value
+                errors[j].__cause__ = _RemoteTraceback(text)
+
         while i is not None:
             try:
                 results[i] = fn(tasks[i])
             except Exception as exc:
                 state[1] = 1
                 errors[i] = exc
+            # A worker whose report fills the pipe waits in its send until
+            # the report is read, and claims nothing meanwhile.
+            try:
+                while reader.poll():
+                    take()
+            except EOFError:
+                pass
             i = _claim(state, len(tasks))
         # Every task below the lowest failing one has been claimed.
         while waiting := [j for j in range(min(errors, default=len(tasks)))
                           if j not in results]:
             try:
-                j, ok, value = reader.recv()
+                take()
             except EOFError:
                 raise RuntimeError(f"a worker process exited without reporting "
                                    f"task {waiting[0]}") from None
-            if ok:
-                results[j] = value
-            else:
-                errors[j], text = value
-                errors[j].__cause__ = _RemoteTraceback(text)
         if errors:
             raise errors[min(errors)]
         return [results[j] for j in range(len(tasks))]
@@ -456,16 +470,19 @@ def sym_inv_sqrt(s: np.ndarray) -> np.ndarray:
 
 def _inv_sqrt(s: np.ndarray) -> np.ndarray:
     """sym_inv_sqrt of each symmetric matrix of a (..., p, p) stack. The
-    first matrix at or below the floor raises, naming its eigenvalues."""
+    first matrix at or below the floor raises, naming its eigenvalues; the
+    error's index is that matrix's index in the stack's leading axes."""
     w, v = np.linalg.eigh(s)
     floor = EIG_FLOOR_RATIO * w[..., -1]
     bad = (w[..., 0] <= floor) | (w[..., -1] <= 0.0)
     if bad.any():
         i = np.argmax(bad.ravel())
-        raise NearSingularCovarianceError(
+        exc = NearSingularCovarianceError(
             f"eigenvalue {w.reshape(-1, w.shape[-1])[i, 0]:.6e} at or below "
             f"floor {floor.ravel()[i]:.6e}"
         )
+        exc.index = np.unravel_index(i, bad.shape)
+        raise exc
     m = (v * (1.0 / np.sqrt(w))[..., None, :]) @ v.swapaxes(-1, -2)
     return _symmetrized(m)
 

@@ -24,19 +24,25 @@ stand-in for the paper's 20-channel sound recording.
 
 A table runs in tasks of one sample size n and a chunk of consecutive
 replicates. A task draws its chunk in one batch (_draw: one seeding pass,
-one filter call per process, written into that process's column of one
-array, and one mixing product for the whole chunk; simulate_setting and
-generate are the batch of one), whitens it in one kernel call into
-the stacks of the union of the methods' lags, and makes one batched
-_chi2_tests call per method on the method's rows of those stacks. The
-whitening uses the same S0^{-1/2} for every lag, so the rows hold
-exactly the numbers a stack of the method's lags alone would. A chunk
-holds as many replicates as fit, as n x p float64 series, in
-dimtest._CHUNK_BYTES, and at most the table's replicates over its
-workers, so that every worker has a task; series._run_tasks runs them on
-N workers, the calling process and N - 1 worker processes, each of which
-claims the next task from one shared counter when it is free, or all in
-the calling process if it is daemonic. Every replicate's numbers are
+one filter call per process, written into that process's contiguous
+rows of one time-major b x p x n array, and one mixing product for the
+whole chunk; simulate_setting and generate are the batch of one),
+whitens it in one kernel call into the stacks of the union of the
+methods' lags, and makes one batched _chi2_tests call per method on the
+method's rows of those stacks. Under identity mixing the kernel reads
+that time-major array as it is; S5's mixed draw is b x n x p, as its
+mixing product gives it. So a replicate's whitener and stack agree with
+standardized_autocovs on simulate_setting's draw (a C-contiguous T x p
+series) to rounding, about 1e-15 relative, not bit for bit. A whitening
+that fails names the chunk's setting, n and replicate. The whitening
+uses the same S0^{-1/2} for every lag, so the rows hold exactly the
+numbers a stack of the method's lags alone would. A chunk holds as many
+replicates as fit, as n x p float64 series, in dimtest._CHUNK_BYTES, and
+at most the table's replicates over its workers, so that every worker
+has a task; series._run_tasks runs them on N workers, the calling
+process and N - 1 worker processes, each of which claims the next task
+from one shared counter when it is free, or all in the calling process
+if it is daemonic. Every replicate's numbers are
 those of the replicate drawn and tested on its own, and each chunk's
 entries are placed by its task's index, so no table depends on the chunk
 size, the worker count or which worker ran a chunk.
@@ -64,7 +70,8 @@ from . import presets
 from .bss import LAG_PRESETS
 from .dimtest import (_check_q, _check_test_args, _chi2_tests, _chunk_reps,
                       _estimate, _p_values)
-from .errors import InvalidInputError, LagTooLargeError
+from .errors import (InvalidInputError, LagTooLargeError,
+                     NearSingularCovarianceError)
 from .series import (LagSet, MultiSeries, _as_int, _check_finite, _generators,
                      _run_tasks, _whiten)
 
@@ -263,7 +270,7 @@ def simulate_setting(setting: SimSetting, n: int, seed):
     """Draw one replicate: returns (mixed series, Omega, sources). The seed
     is any entropy np.random.SeedSequence takes, None for fresh entropy."""
     x, omega, z = _draw(setting, n, [np.random.SeedSequence(seed).entropy])
-    return MultiSeries(x[0].copy()), omega[0], MultiSeries(z[0])
+    return MultiSeries(x[0].copy()), omega[0], MultiSeries(z[0].copy())
 
 
 def _draw(setting: SimSetting, n: int, entropies):
@@ -272,18 +279,21 @@ def _draw(setting: SimSetting, n: int, entropies):
     Replicate i draws process j from the Generator of child
     SeedSequence(entropies[i], spawn_key=(j,)), which is
     SeedSequence(entropies[i]).spawn(p + 1)[j], and the mixing from child
-    p. One series._generators call seeds every child of the chunk, one
-    _generate call writes each process of every replicate into its column
-    of z, and one product mixes them all; under identity mixing x is z
-    itself, and no mixing child is seeded."""
+    p. One series._generators call seeds every child of the chunk, and one
+    _generate call writes each process of every replicate into its
+    contiguous row of one time-major b x p x n array zt; z is the view
+    zt.swapaxes(-1, -2), so z.swapaxes(-1, -2) is the C-contiguous input
+    the whitening kernel reads. One product z @ Omega^T mixes them all;
+    under identity mixing x is z itself, and no mixing child is seeded."""
     _check_length(n)
     b, p = len(entropies), setting.p
     mixed = setting.mixing != "identity"
     rngs = _generators(entropies, [(j,) for j in range(p + mixed)])
-    z = np.empty((b, n, p))
+    zt = np.empty((b, p, n))
     for j, spec in enumerate(setting.processes):
-        _generate(spec, islice(rngs, b), z[..., j])
-    _check_finite(z)
+        _generate(spec, islice(rngs, b), zt[:, j])
+    _check_finite(zt)
+    z = zt.swapaxes(-1, -2)
     if not mixed:
         return z, np.tile(np.eye(p), (b, 1, 1)), z
     omega = np.array([_mixing(setting.mixing, p, rng) for rng in rngs])
@@ -374,7 +384,12 @@ def _chunk(args):
     setting, n, reps, seed, union, plan, entry = args
     entropies = [[seed, n, rep] for rep in reps]
     x = _draw(setting, n, entropies)[0]
-    w, h = _whiten(x.swapaxes(-1, -2), union)
+    try:
+        w, h = _whiten(x.swapaxes(-1, -2), union)
+    except NearSingularCovarianceError as exc:
+        raise NearSingularCovarianceError(
+            f"setting {setting.name}, n = {n}, replicate {reps[exc.index[0]]}: "
+            f"{exc}") from None
     return np.array([[entry(*replicate, lags) for replicate in
                       zip(x, w, zip(*_chi2_tests(h[:, rows], n)), entropies)]
                      for lags, rows in plan], dtype=float).T

@@ -312,6 +312,19 @@ class TestSimulate:
         assert table["p"] == 5
         assert len(table["freq"][0][0]) == 6
 
+    def test_a_numerical_failure_names_its_replicate(self, capsys):
+        # Replicate 112 of S5 at n = 500 under seed 5 draws a mixing whose
+        # condition number is about 1.35e7, so its S0 falls below the floor.
+        code, out, err = run([
+            "simulate", "--setting", "S5", "--table", "dimension",
+            "--n", "500", "--reps", "113", "--seed", "5", "--threads", "1",
+        ], capsys)
+        assert code == EXIT_NUMERIC
+        assert out == ""
+        assert err.startswith(
+            "error: setting S5, n = 500, replicate 112: eigenvalue ")
+        assert " at or below floor " in err
+
     def test_unknown_setting(self, capsys):
         code, _, err = run([
             "simulate", "--setting", "Z9", "--n", "200", "--reps", "2",

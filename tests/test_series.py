@@ -811,6 +811,21 @@ def test_run_tasks_names_a_result_pickle_cannot_send(tmp_path, time_limit):
     assert multiprocessing.active_children() == []
 
 
+def _large_result(t):
+    time.sleep(0.05)
+    return os.getpid(), bytes(1 << 20)
+
+
+def test_run_tasks_reads_a_large_report_between_its_own_tasks(time_limit):
+    # A 1 MB report fills the pipe's buffer, so the worker that sends it
+    # waits until the calling process reads it. Read only once the calling
+    # process has no task left, the worker would run one task of eight.
+    got = series_module._run_tasks(_large_result, list(range(8)), 2)
+    assert all(data == bytes(1 << 20) for _, data in got)
+    assert sum(pid != os.getpid() for pid, _ in got) >= 2
+    assert multiprocessing.active_children() == []
+
+
 _CLAIM_AND_SLEEP = """
 import sys, time
 from functools import partial

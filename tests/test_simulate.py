@@ -277,6 +277,7 @@ class TestSimulateSetting:
         assert np.array_equal(omega, np.eye(5))
         assert np.array_equal(x.values, z.values)
         assert not np.shares_memory(x.values, z.values)
+        assert x.values.flags.c_contiguous and z.values.flags.c_contiguous
 
 
     @staticmethod
@@ -328,6 +329,47 @@ class TestSimulateSetting:
             for got, want in zip((x[i], omega[i], z[i]), ref):
                 assert np.array_equal(got, want), (name, i)
 
+
+    @pytest.mark.parametrize("name", [name for name in SETTING_NAMES
+                                      if make_setting(name).mixing == "identity"])
+    def test_identity_draws_are_time_major(self, name):
+        # A chunk's sources are one C-contiguous b x p x n array, so the
+        # whitening kernel reads every process's series as a contiguous
+        # row; under identity mixing x and z are both views of it.
+        from sosdim.simulate import _draw
+
+        s, n, b = make_setting(name), 200, 4
+        x, _, z = _draw(s, n, [[3, n, rep] for rep in range(b)])
+        assert x.base is z.base
+        assert x.base.shape == (b, s.p, n) and x.base.flags.c_contiguous
+        assert x.swapaxes(-1, -2).flags.c_contiguous
+
+    @pytest.mark.parametrize("name", SETTING_NAMES)
+    def test_table_stacks_match_the_library(self, monkeypatch, name):
+        # A table whitens its chunk of draws in one kernel call. Each
+        # replicate's whitener and stack agree with standardized_autocovs of
+        # simulate_setting's draw of the same entropy to rounding, though
+        # not bit for bit: the kernel reads the two in different layouts.
+        import sosdim.simulate
+        from sosdim import LagSet, standardized_autocovs
+
+        seen = []
+        original = sosdim.simulate._whiten
+
+        def kept(xt, lags):
+            seen.append(original(xt, lags))
+            return seen[-1]
+
+        monkeypatch.setattr(sosdim.simulate, "_whiten", kept)
+        s, n, reps, seed = make_setting(name), 300, 4, 21
+        dimension_table(s, [n], ["sobi6", "amuse"], reps=reps, seed=seed)
+        [(w, h)] = seen  # one chunk
+        for rep in range(reps):
+            x = simulate_setting(s, n, [seed, n, rep])[0]
+            want = standardized_autocovs(x, LagSet(tuple(range(1, 7))))
+            for got, ref in zip((w[rep], h[rep]), want):
+                np.testing.assert_allclose(got, ref, rtol=0,
+                                           atol=1e-13 * np.abs(ref).max())
 
 
 class TestSeeding:
