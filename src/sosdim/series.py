@@ -106,12 +106,12 @@ def _run_tasks(fn, tasks, workers: int) -> list:
     if workers < 2 or multiprocessing.current_process().daemon:
         return [fn(t) for t in tasks]
     ctx = _context()
-    state = ctx.Array("i", 2)  # the next task's index; 1 once a task failed
+    counter = ctx.Value("i", 0)  # the next task's index; len(tasks) once one failed
     reader, writer = ctx.Pipe(duplex=False)
-    args = (fn, tasks, state, reader, writer, ctx.Lock())
+    args = (fn, tasks, counter, reader, writer, ctx.Lock())
     results, errors, procs = {}, {}, []
     try:
-        i = _claim(state, len(tasks))
+        i = _claim(counter, len(tasks))
         for _ in range(workers - 1):
             procs.append(ctx.Process(target=_work, args=args, daemon=True))
             procs[-1].start()
@@ -129,7 +129,7 @@ def _run_tasks(fn, tasks, workers: int) -> list:
             try:
                 results[i] = fn(tasks[i])
             except Exception as exc:
-                state[1] = 1
+                counter.value = len(tasks)
                 errors[i] = exc
             # A worker whose report fills the pipe waits in its send until
             # the report is read, and claims nothing meanwhile.
@@ -138,7 +138,7 @@ def _run_tasks(fn, tasks, workers: int) -> list:
                     take()
             except EOFError:
                 pass
-            i = _claim(state, len(tasks))
+            i = _claim(counter, len(tasks))
         # Every task below the lowest failing one has been claimed.
         while waiting := [j for j in range(min(errors, default=len(tasks)))
                           if j not in results]:
@@ -159,15 +159,15 @@ def _run_tasks(fn, tasks, workers: int) -> list:
         writer.close()
 
 
-def _claim(state, n: int):
-    """The index of the next of n tasks, from state = [next index, failed],
-    or None once every task is claimed or one has failed."""
-    with state.get_lock():
-        counter = state.get_obj()
-        i, failed = counter
-        if failed or i >= n:
+def _claim(counter, n: int):
+    """The index of the next of n tasks from the shared counter, or None
+    once every task is claimed or one has failed, which sets it to n."""
+    with counter.get_lock():
+        raw = counter.get_obj()
+        i = raw.value
+        if i >= n:
             return None
-        counter[0] = i + 1
+        raw.value = i + 1
         return i
 
 
@@ -178,7 +178,7 @@ class _RemoteTraceback(Exception):
     frames."""
 
 
-def _work(fn, tasks, state, reader, writer, lock):
+def _work(fn, tasks, counter, reader, writer, lock):
     """A _run_tasks worker: claim and run tasks until none is left, sending
     (index, True, result) of each, or (index, False, (error, its formatted
     traceback)). Each report is pickled before it is sent, and the lock
@@ -191,11 +191,11 @@ def _work(fn, tasks, state, reader, writer, lock):
     import traceback
 
     def failure(i, error):
-        state[1] = 1
+        counter.value = len(tasks)
         return pickle.dumps((i, False, (error, f'\n"""\n{traceback.format_exc()}"""')))
 
     reader.close()
-    while (i := _claim(state, len(tasks))) is not None:
+    while (i := _claim(counter, len(tasks))) is not None:
         try:
             result = fn(tasks[i])
         except Exception as exc:
@@ -255,18 +255,14 @@ def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return result ^ result >> np.uint32(16)
 
 
-def _word_groups(values) -> list:
-    """(indices, words) for each word count among the _uint32_words of
-    values: the indices of the values with that count, and their words as a
-    len(indices) x count uint32 array."""
-    groups = {}
-    for i, value in enumerate(values):
-        words = _uint32_words(value)
-        groups.setdefault(len(words), []).append((i, words))
-    return [([i for i, _ in group],
-             np.array([words for _, words in group], dtype=np.uint32)
-             .reshape(len(group), n))
-            for n, group in groups.items()]
+def _word_array(values) -> np.ndarray:
+    """The _uint32_words of values as a len(values) x count uint32 array;
+    values of different word counts raise ValueError."""
+    words = [_uint32_words(value) for value in values]
+    counts = {len(w) for w in words}
+    if len(counts) > 1:
+        raise ValueError(f"expected one word count, got {sorted(counts)}")
+    return np.array(words, dtype=np.uint32).reshape(len(words), max(counts, default=0))
 
 
 def _pool_states(entropy: np.ndarray) -> np.ndarray:
@@ -302,25 +298,20 @@ def _seed_states(entropies, keys) -> np.ndarray:
     """SeedSequence(entropy, spawn_key=key).generate_state(4, np.uint64) of
     every key and entropy, as a len(keys) x len(entropies) x 4 uint64 array.
 
-    Each pair's words are assembled as SeedSequence assembles them: the
-    entropy's, padded with zeros to the pool size when the key has words,
-    then the key's. The pairs of one entropy word count and one key word
-    count go through _pool_states together.
+    The entropies share one word count and the keys another, as every
+    caller's do: a chunk's [seed, n, rep] with rep < 2**32, keys (j,) or
+    (c,). Each pair's words are assembled as SeedSequence assembles them:
+    the entropy's, padded with zeros to the pool size when the key has
+    words, then the key's; every pair goes through _pool_states at once.
     """
-    state = np.empty((len(keys), len(entropies), 2 * _POOL_SIZE), dtype=np.uint32)
-    entropy_groups = _word_groups(entropies)
-    for ki, kw in _word_groups(keys):
-        for ei, ew in entropy_groups:
-            if kw.shape[1]:
-                ew = np.pad(ew, ((0, 0), (0, max(0, _POOL_SIZE - ew.shape[1]))))
-            shape = (len(ki), len(ei))
-            words = np.concatenate([np.broadcast_to(ew, shape + ew.shape[1:]),
-                                    np.broadcast_to(kw[:, None], shape + kw.shape[1:])],
-                                   axis=-1)
-            words = words.reshape(len(ki) * len(ei), words.shape[-1])
-            state[np.ix_(ki, ei)] = _pool_states(words).reshape(shape + (-1,))
+    ew, kw = _word_array(entropies), _word_array(keys)
+    if kw.shape[1]:
+        ew = np.pad(ew, ((0, 0), (0, max(0, _POOL_SIZE - ew.shape[1]))))
+    state = _pool_states(np.hstack([np.tile(ew, (len(keys), 1)),
+                                    np.repeat(kw, len(entropies), axis=0)]))
     # Word pairs read as little-endian uint64, as generate_state reads them.
-    return state.astype("<u4").view("<u8").astype(np.uint64)
+    return (state.astype("<u4").view("<u8").astype(np.uint64)
+            .reshape(len(keys), len(entropies), 4))
 
 
 def _generators(entropies, keys):

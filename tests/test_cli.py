@@ -2,6 +2,7 @@ import csv
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -313,16 +314,16 @@ class TestSimulate:
         assert len(table["freq"][0][0]) == 6
 
     def test_a_numerical_failure_names_its_replicate(self, capsys):
-        # Replicate 112 of S5 at n = 500 under seed 5 draws a mixing whose
-        # condition number is about 1.35e7, so its S0 falls below the floor.
+        # 20 samples of S5's 20 channels, centred, span at most 19
+        # dimensions, so the first replicate's S0 falls below the floor.
         code, out, err = run([
             "simulate", "--setting", "S5", "--table", "dimension",
-            "--n", "500", "--reps", "113", "--seed", "5", "--threads", "1",
+            "--n", "20", "--reps", "3", "--seed", "5", "--threads", "1",
         ], capsys)
         assert code == EXIT_NUMERIC
         assert out == ""
         assert err.startswith(
-            "error: setting S5, n = 500, replicate 112: eigenvalue ")
+            "error: setting S5, n = 20, replicate 0: eigenvalue ")
         assert " at or below floor " in err
 
     def test_unknown_setting(self, capsys):
@@ -386,6 +387,41 @@ class TestSimulate:
             "--q", "3",
         ], capsys)
         assert code == EXIT_INPUT
+
+
+# The argv of every table in tests/golden/, as CI's worker-count steps run
+# it at --threads 1. A change that moves any entry of these tables fails
+# here, with no CI run needed.
+GOLDEN = Path(__file__).parent / "golden"
+GOLDEN_ARGV = {
+    "h1-dimension.csv": "--setting H1 --table dimension --n 500,1000,2000 --reps 60 "
+                        "--methods amuse,sobi6,sobi12 --seed 1",
+    "h1-dimension-two-tasks.csv": "--setting H1 --table dimension --n 500 --reps 2 "
+                                  "--methods amuse,sobi6 --seed 4",
+    "s5-rejection.csv": "--setting S5 --table rejection --q 3 --n 500,2000 --reps 20 "
+                        "--methods amuse,sobi6,sobi12 --seed 2",
+    "d1-dimension.csv": "--setting D1 --table dimension --n 500,2000 --reps 30 "
+                        "--methods amuse,sobi6,sobi12 --seed 3",
+    "h1-bootstrap-dimension.csv": "--setting H1 --table dimension --n 300,600 --reps 8 "
+                                  "--methods sobi12,amuse --test-kind bootstrap -B 20 "
+                                  "--seed 9",
+    "h2-bootstrap-rejection.csv": "--setting H2 --table rejection --q 2 --n 300,600 "
+                                  "--reps 6 --methods sobi12,amuse --test-kind bootstrap "
+                                  "-B 9 --alpha 0.2 --seed 9",
+}
+
+
+def test_golden_names_are_the_directory():
+    assert sorted(GOLDEN_ARGV) == sorted(f.name for f in GOLDEN.iterdir())
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_ARGV))
+def test_golden_table_is_regenerated(name, tmp_path, capsys):
+    out = tmp_path / name
+    code, _, _ = run(["simulate", *GOLDEN_ARGV[name].split(), "--format", "csv",
+                      "--threads", "1", "--output", str(out)], capsys)
+    assert code == EXIT_OK
+    assert out.read_bytes() == (GOLDEN / name).read_bytes()
 
 
 @pytest.mark.parametrize("b_reps, noted", [("19", True), ("20", False)])

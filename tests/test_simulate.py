@@ -1,6 +1,7 @@
 import multiprocessing
 import os
 from functools import partial
+from itertools import product
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from scipy.signal import lfilter
 
 from sosdim import InvalidInputError, MultiSeries
 from sosdim.simulate import (
+    _MAX_MIX_CONDITION,
     ProcessSpec,
     SETTING_NAMES,
     SimSetting,
@@ -255,6 +257,16 @@ class TestMix:
         with pytest.raises(InvalidInputError, match="unknown mixing"):
             mix(self.sources(), mixing)
 
+    def test_a_mixing_the_floor_refuses_is_redrawn(self):
+        # Replicate 112 of S5 at n = 500 under seed 5 first draws a mixing of
+        # condition number 1.35e7, whose S0 the whitening floor refuses. It
+        # is redrawn below _MAX_MIX_CONDITION, and the replicate whitens.
+        from sosdim import LagSet, standardized_autocovs
+
+        x, omega, _ = simulate_setting(make_setting("S5"), 500, [5, 500, 112])
+        assert np.linalg.cond(omega) < _MAX_MIX_CONDITION
+        standardized_autocovs(x, LagSet((1,)))
+
 
 class TestSimulateSetting:
     def test_shapes_and_determinism(self):
@@ -305,7 +317,7 @@ class TestSimulateSetting:
             rng = np.random.default_rng(children[setting.p])
             while True:
                 omega = rng.uniform(0.0, 1.0, size=(setting.p, setting.p))
-                if np.linalg.cond(omega) < 1e8:
+                if np.linalg.cond(omega) < _MAX_MIX_CONDITION:
                     break
         return z @ omega.T, omega, z
 
@@ -375,32 +387,38 @@ class TestSimulateSetting:
 class TestSeeding:
     # series._generators must give the Generator that
     # default_rng(SeedSequence(entropy, spawn_key=key)) gives, on every word
-    # count SeedSequence's mixing treats differently. CI also runs this
-    # class under -W error on its oldest numpy pins.
-    ENTROPIES = [
-        0,
-        [13, 300, 2],  # a replicate's [seed, n, rep]
-        2**32,  # two words
-        2**70,  # three words
-        [1, 2, 3, 4, 5, 6, 7],  # longer than the pool
-        [2**64 - 1, 2**40, 9],  # six words, split from three integers
-        [np.uint64(2**40), np.int32(6), np.uint8(3)],
-        np.uint64(2**63 + 5),
-        [],
+    # count SeedSequence's mixing treats differently. One call seeds
+    # entropies of one word count under keys of one word count, so each
+    # group pairs with each. CI also runs this class under -W error on its
+    # oldest numpy pins.
+    ENTROPIES = [  # by uint32 word count: 0, 1, 2, 3, 4, 5 and 7
+        [[], ()],
+        [0, np.int64(5)],
+        [2**32, np.uint64(2**63 + 5)],
+        [[13, 300, 2], 2**70],  # a replicate's [seed, n, rep], and one integer
+        [[np.uint64(2**40), np.int32(6), np.uint8(3)], 2**100],
+        [[2**64 - 1, 2**40, 9], 2**130],  # five words, split from three integers
+        [[1, 2, 3, 4, 5, 6, 7], 2**200],  # longer than the pool
     ]
-    KEYS = [(), (0,), (3,), (2**32,), (2**32 + 7,), (np.int64(2), 6)]
+    KEYS = [  # by uint32 word count: 0, 1 and 2
+        [()],
+        [(0,), (3,)],
+        [(2**32,), (2**32 + 7,), (np.int64(2), 6)],
+    ]
+    GROUPS = list(product(ENTROPIES, KEYS))  # 21 groups
 
     def test_states_are_seedsequences(self):
         from sosdim.series import _seed_states
 
-        got = _seed_states(self.ENTROPIES, self.KEYS)
-        assert got.dtype == np.uint64
-        assert got.shape == (len(self.KEYS), len(self.ENTROPIES), 4)
-        for a, key in enumerate(self.KEYS):
-            for b, entropy in enumerate(self.ENTROPIES):
-                want = np.random.SeedSequence(entropy, spawn_key=key).generate_state(
-                    4, np.uint64)
-                assert np.array_equal(got[a, b], want), (entropy, key)
+        for entropies, keys in self.GROUPS:
+            got = _seed_states(entropies, keys)
+            assert got.dtype == np.uint64
+            assert got.shape == (len(keys), len(entropies), 4)
+            for a, key in enumerate(keys):
+                for b, entropy in enumerate(entropies):
+                    want = np.random.SeedSequence(
+                        entropy, spawn_key=key).generate_state(4, np.uint64)
+                    assert np.array_equal(got[a, b], want), (entropy, key)
 
     def test_draws_are_default_rngs(self):
         # An odd count of integers leaves half a 64-bit draw buffered; the
@@ -411,13 +429,29 @@ class TestSeeding:
             return (rng.standard_normal(n), rng.standard_t(5.0, size=n),
                     rng.uniform(size=n), rng.integers(0, n, size=n))
 
-        pairs = [(e, k) for k in self.KEYS for e in self.ENTROPIES]
-        got = [draws(rng) for rng in _generators(self.ENTROPIES, self.KEYS)]
-        assert len(got) == len(pairs)
-        for (entropy, key), one in zip(pairs, got):
-            rng = np.random.default_rng(np.random.SeedSequence(entropy, spawn_key=key))
-            for g, w in zip(one, draws(rng)):
-                assert np.array_equal(g, w), (entropy, key)
+        for entropies, keys in self.GROUPS:
+            pairs = [(e, k) for k in keys for e in entropies]
+            got = [draws(rng) for rng in _generators(entropies, keys)]
+            assert len(got) == len(pairs)
+            for (entropy, key), one in zip(pairs, got):
+                rng = np.random.default_rng(
+                    np.random.SeedSequence(entropy, spawn_key=key))
+                for g, w in zip(one, draws(rng)):
+                    assert np.array_equal(g, w), (entropy, key)
+
+    @pytest.mark.parametrize("entropies, keys", [
+        ([0, 2**32], [(0,)]),
+        ([[13, 300, 2], [13, 300, 2**32]], [(0,), (1,)]),
+        ([0], [(), (0,)]),
+        ([0], [(0,), (1, 2)]),
+    ])
+    def test_mixed_word_counts_raise(self, entropies, keys):
+        # Every caller seeds one word layout per call; a mix is refused
+        # rather than seeded in the layout of another count.
+        from sosdim.series import _seed_states
+
+        with pytest.raises(ValueError, match="one word count"):
+            _seed_states(entropies, keys)
 
     def test_no_seedsequence_per_row(self, monkeypatch):
         # A table's chunk seeds its rows in one pass, and a bootstrap builds
@@ -444,6 +478,27 @@ class TestSeeding:
 
 
 class TestTables:
+    def test_a_numerical_failure_names_a_later_replicate(self, monkeypatch):
+        # A mixing with two equal columns makes replicate 2's S0 singular;
+        # the error names that replicate, not the chunk's first.
+        import sosdim.simulate
+        from sosdim.errors import NearSingularCovarianceError
+
+        original, drawn = sosdim.simulate._mixing, []
+
+        def mixing(kind, p, rng):
+            drawn.append(original(kind, p, rng))
+            if len(drawn) == 3:
+                drawn[-1][:, 0] = drawn[-1][:, 1]
+            return drawn[-1]
+
+        monkeypatch.setattr(sosdim.simulate, "_mixing", mixing)
+        with pytest.raises(NearSingularCovarianceError,
+                           match=r"^setting S5, n = 300, replicate 2: eigenvalue "):
+            rejection_table(make_setting("S5"), [300], ["amuse"], q=3, reps=4,
+                            seed=1)
+        assert len(drawn) == 4  # one chunk
+
     def test_rejection_table_shape_and_determinism_across_workers(self):
         s = make_setting("H1")
         t1 = rejection_table(s, [200, 500], ["amuse", "sobi6"], q=3,
